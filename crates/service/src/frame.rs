@@ -21,28 +21,22 @@
 //! keep speaking v1 to old peers on the same port.
 //!
 //! Payloads encode the [`Request`]/[`Response`] enums with a leading
-//! u8 tag and fixed field order: integers as LE `u64`/`u32`, floats as
-//! `f64::to_bits` LE (bit-exact by construction — the differential
-//! suite proves decoded v1 and v2 responses identical), strings as
-//! u32-length-prefixed UTF-8, options as a presence byte. The decoder
-//! is total: any byte sequence yields a value or a typed
-//! [`FrameError`], never a panic (`tests/frame_properties.rs`), and the
-//! exact bytes are pinned by golden fixtures
-//! (`tests/frame_fixtures.rs`).
+//! u8 tag and fixed field order, generated from the field tables in
+//! [`proto`] by the `schema` module (floats are bit-exact by construction
+//! — the differential suite proves decoded v1 and v2 responses
+//! identical). The decoder is total: any byte sequence yields a value
+//! or a typed [`FrameError`], never a panic
+//! (`tests/frame_properties.rs`), and the exact bytes are pinned by
+//! golden fixtures (`tests/wire_golden.rs`).
 //!
 //! [`proto`]: crate::proto
 
-// The decoder must stay cast-clean: a wire `u64` narrowed with `as`
-// silently wraps on 32-bit targets (and under hostile >2^32 values),
-// turning a malformed frame into a wrong-but-plausible request. Every
-// narrowing goes through `try_from` and errors as `Malformed`.
+// The header decoder must stay cast-clean too (see `schema`, which
+// holds the payload reader).
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::proto::{
-    CacheTier, CalibSpec, ErrorCode, ErrorResponse, HistSummary, JournalResponse, MapRequest,
-    MapResponse, MultilevelSpec, RemapDiffResponse, RemapRequest, Request, Response, StatsDetail,
-    StatsResponse, TraceContext, TraceDumpResponse, WireTraceEvent, WireTrack,
-};
+use crate::proto::{ErrorCode, ErrorResponse, Request, Response};
+use crate::schema::{wire_len, Message, Reader};
 
 /// First byte of every v2 frame; never the first byte of UTF-8 JSON.
 pub const FRAME_MAGIC: u8 = 0xB2;
@@ -153,15 +147,9 @@ pub struct Frame {
 impl Frame {
     /// Encode header + payload into wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + self.payload.len());
-        out.push(FRAME_MAGIC);
-        out.push(FRAME_VERSION);
-        out.push(self.kind.code());
-        out.extend_from_slice(&self.corr_id.to_le_bytes());
-        let len = u32::try_from(self.payload.len()).expect("payload exceeds u32 length prefix");
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        encode_with(self.kind, self.corr_id, |w| {
+            w.extend_from_slice(&self.payload)
+        })
     }
 
     /// Decode one frame from the front of `buf`, returning it and the
@@ -226,867 +214,105 @@ impl Frame {
     }
 }
 
+/// Header, then the payload `write` appends, then the length patched
+/// into the header: one buffer, no intermediate payload copy.
+fn encode_with(kind: FrameKind, corr_id: u64, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256);
+    out.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION, kind.code()]);
+    out.extend_from_slice(&corr_id.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    write(&mut out);
+    let len = wire_len(out.len() - FRAME_HEADER_BYTES);
+    out[FRAME_HEADER_BYTES - 4..FRAME_HEADER_BYTES].copy_from_slice(&len);
+    out
+}
+
 /// Encode a request as a complete v2 frame.
 pub fn encode_request(request: &Request, corr_id: u64) -> Vec<u8> {
-    Frame {
-        kind: FrameKind::Request,
-        corr_id,
-        payload: request_payload(request),
-    }
-    .encode()
+    encode_with(FrameKind::Request, corr_id, |w| request.write(w))
 }
 
 /// Encode a response as a complete v2 frame.
 pub fn encode_response(response: &Response, corr_id: u64) -> Vec<u8> {
-    Frame {
-        kind: FrameKind::Response,
-        corr_id,
-        payload: response_payload(response),
-    }
-    .encode()
-}
-
-// ---------------------------------------------------------------------
-// Payload writer
-// ---------------------------------------------------------------------
-
-struct Writer {
-    out: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Self { out: Vec::new() }
-    }
-
-    fn u8(&mut self, x: u8) {
-        self.out.push(x);
-    }
-
-    fn bool(&mut self, x: bool) {
-        self.out.push(u8::from(x));
-    }
-
-    fn u32(&mut self, x: u32) {
-        self.out.extend_from_slice(&x.to_le_bytes());
-    }
-
-    fn u64(&mut self, x: u64) {
-        self.out.extend_from_slice(&x.to_le_bytes());
-    }
-
-    fn f64(&mut self, x: f64) {
-        self.out.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        let len = u32::try_from(s.len()).expect("string exceeds u32 length prefix");
-        self.out.extend_from_slice(&len.to_le_bytes());
-        self.out.extend_from_slice(s.as_bytes());
-    }
-
-    fn opt_u64(&mut self, x: Option<u64>) {
-        match x {
-            Some(v) => {
-                self.u8(1);
-                self.u64(v);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    fn opt_str(&mut self, s: Option<&str>) {
-        match s {
-            Some(v) => {
-                self.u8(1);
-                self.str(v);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    fn usize_arr(&mut self, xs: &[usize]) {
-        let len = u32::try_from(xs.len()).expect("array exceeds u32 length prefix");
-        self.out.extend_from_slice(&len.to_le_bytes());
-        for &x in xs {
-            self.u64(x as u64);
-        }
-    }
+    encode_with(FrameKind::Response, corr_id, |w| response.write(w))
 }
 
 /// The binary payload of a request (tag + fixed field order).
 pub fn request_payload(request: &Request) -> Vec<u8> {
-    let mut w = Writer::new();
-    match request {
-        Request::Map(m) => {
-            w.u8(1);
-            w.str(&m.id);
-            w.str(&m.pattern_csv);
-            w.opt_u64(m.ranks.map(|r| r as u64));
-            w.opt_str(m.constraints_csv.as_deref());
-            w.str(&m.algorithm);
-            w.u64(m.seed);
-            w.u64(m.kappa as u64);
-            w.u64(m.samples as u64);
-            w.u64(m.calibration.days as u64);
-            w.u64(m.calibration.probes_per_day as u64);
-            w.f64(m.calibration.noise_cv);
-            w.f64(m.calibration.loss_rate);
-            w.u64(m.calibration.seed);
-            w.opt_u64(m.deadline_ms);
-            w.bool(m.reserve);
-            w.opt_u64(m.lease_ttl_ms);
-            w.bool(m.use_result_cache);
-            w.opt_str(m.idempotency_key.as_deref());
-            // Optional *trailing* extensions, each opened by a marker
-            // byte and appended only when present, in ascending marker
-            // order — a request using neither keeps the pre-extension
-            // frame layout byte for byte (pinned by the golden
-            // fixtures). Decoders accept any suffix of markers by
-            // checking `remaining()` before `finish`.
-            if let Some(t) = &m.trace {
-                w.u8(TRACE_EXT_MARKER);
-                w.u64(t.trace_id);
-                w.u64(t.parent_span);
-                w.bool(t.sampled);
-            }
-            if let Some(ml) = &m.multilevel {
-                w.u8(MULTILEVEL_EXT_MARKER);
-                w.u64(ml.coarsen_cutoff as u64);
-                w.u64(ml.match_rounds as u64);
-                w.u64(ml.refine_passes as u64);
-            }
-        }
-        Request::Release { id, lease } => {
-            w.u8(2);
-            w.str(id);
-            w.u64(*lease);
-        }
-        Request::Stats { id, detail } => {
-            w.u8(3);
-            w.str(id);
-            // Trailing opt-in flag, absent when false: a plain stats
-            // request (and its response) keeps the old byte layout.
-            if *detail {
-                w.bool(true);
-            }
-        }
-        Request::Shutdown { id } => {
-            w.u8(4);
-            w.str(id);
-        }
-        Request::Journal { id, key } => {
-            w.u8(5);
-            w.str(id);
-            w.str(key);
-        }
-        Request::TraceDump { id } => {
-            w.u8(6);
-            w.str(id);
-        }
-        Request::Remap(r) => {
-            w.u8(7);
-            w.str(&r.id);
-            w.str(&r.pattern_csv);
-            w.usize_arr(&r.mapping);
-            w.opt_str(r.constraints_csv.as_deref());
-            w.opt_u64(r.budget);
-            w.f64(r.alpha);
-            w.u64(r.calibration.days as u64);
-            w.u64(r.calibration.probes_per_day as u64);
-            w.f64(r.calibration.noise_cv);
-            w.f64(r.calibration.loss_rate);
-            w.u64(r.calibration.seed);
-            w.opt_u64(r.lease);
-        }
-    }
-    w.out
-}
-
-/// Marker byte opening the optional trailing trace-context extension
-/// on a v2 map-request payload.
-const TRACE_EXT_MARKER: u8 = 1;
-
-/// Marker byte opening the optional trailing multilevel-solver
-/// extension on a v2 map-request payload.
-const MULTILEVEL_EXT_MARKER: u8 = 2;
-
-fn write_hist_summary(w: &mut Writer, h: &HistSummary) {
-    w.str(&h.name);
-    w.u64(h.count);
-    w.u64(h.sum_us);
-    w.opt_u64(h.min_us);
-    w.opt_u64(h.max_us);
-    w.u64(h.p50_us);
-    w.u64(h.p90_us);
-    w.u64(h.p99_us);
-    w.u64(h.p999_us);
-    let n = u32::try_from(h.buckets.len()).expect("bucket dump exceeds u32 length prefix");
-    w.u32(n);
-    for &(i, c) in &h.buckets {
-        w.u32(i);
-        w.u64(c);
-    }
-}
-
-fn write_stats_detail(w: &mut Writer, d: &StatsDetail) {
-    w.u64(d.hist_schema);
-    w.u64(d.queue_depth);
-    w.u64(d.max_queue_depth);
-    w.usize_arr(&d.leased_nodes);
-    let n = u32::try_from(d.hists.len()).expect("histogram set exceeds u32 length prefix");
-    w.u32(n);
-    for h in &d.hists {
-        write_hist_summary(w, h);
-    }
-    w.u64(d.shards);
+    let mut w = Vec::new();
+    request.write(&mut w);
+    w
 }
 
 /// The binary payload of a response (tag + fixed field order).
 pub fn response_payload(response: &Response) -> Vec<u8> {
-    let mut w = Writer::new();
-    match response {
-        Response::Map(r) => {
-            w.u8(1);
-            w.str(&r.id);
-            w.usize_arr(&r.mapping);
-            w.f64(r.cost);
-            w.u8(r.cached.code());
-            w.f64(r.queue_wait_s);
-            w.f64(r.solve_s);
-            w.opt_u64(r.lease);
-            w.usize_arr(&r.site_counts);
-            w.usize_arr(&r.free_nodes);
-            w.bool(r.degraded);
-            w.u64(r.staleness);
-        }
-        Response::Release {
-            id,
-            freed,
-            free_nodes,
-        } => {
-            w.u8(2);
-            w.str(id);
-            w.usize_arr(freed);
-            w.usize_arr(free_nodes);
-        }
-        Response::Stats(s) => {
-            w.u8(3);
-            w.str(&s.id);
-            w.u64(s.served);
-            w.u64(s.result_hits);
-            w.u64(s.problem_hits);
-            w.u64(s.misses);
-            w.u64(s.rejected);
-            w.u64(s.replays);
-            w.usize_arr(&s.free_nodes);
-            w.u64(s.active_leases);
-            // Trailing extension, present only when the request asked
-            // for detail — an uninvited extension would be trailing
-            // garbage to an old client's decoder.
-            if let Some(d) = &s.detail {
-                write_stats_detail(&mut w, d);
-            }
-        }
-        Response::Shutdown { id, draining } => {
-            w.u8(4);
-            w.str(id);
-            w.u64(*draining);
-        }
-        Response::Error(e) => {
-            w.u8(5);
-            w.str(&e.id);
-            w.u8(e.code.code());
-            w.str(&e.message);
-        }
-        Response::Journal(j) => {
-            w.u8(6);
-            w.str(&j.id);
-            w.str(&j.key);
-            w.bool(j.held);
-            w.opt_u64(j.lease);
-            w.usize_arr(&j.site_counts);
-        }
-        Response::RemapDiff(r) => {
-            w.u8(8);
-            w.str(&r.id);
-            w.usize_arr(&r.mapping);
-            w.usize_arr(&r.moved);
-            w.f64(r.old_cost);
-            w.f64(r.new_cost);
-            w.u64(r.migrations);
-            w.opt_u64(r.lease);
-            w.usize_arr(&r.free_nodes);
-        }
-        Response::TraceDump(t) => {
-            w.u8(7);
-            w.str(&t.id);
-            w.f64(t.now_s);
-            w.u64(t.dropped);
-            let n = u32::try_from(t.tracks.len()).expect("track list exceeds u32 length prefix");
-            w.u32(n);
-            for tr in &t.tracks {
-                w.u32(tr.track);
-                w.str(&tr.process);
-                w.str(&tr.name);
-            }
-            let n = u32::try_from(t.events.len()).expect("event list exceeds u32 length prefix");
-            w.u32(n);
-            for e in &t.events {
-                w.u32(e.track);
-                w.str(&e.name);
-                w.u8(e.kind);
-                w.f64(e.ts_s);
-                w.f64(e.value);
-            }
-        }
-    }
-    w.out
-}
-
-// ---------------------------------------------------------------------
-// Payload reader
-// ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], FrameError> {
-        if self.remaining() < n {
-            return Err(FrameError::Malformed(format!(
-                "{what} needs {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, FrameError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn bool(&mut self, what: &str) -> Result<bool, FrameError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(FrameError::Malformed(format!("{what}: bad bool byte {b}"))),
-        }
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// A wire `u64` that the decoded type holds as `usize`. Narrowing
-    /// is checked: a value past `usize::MAX` (possible on 32-bit
-    /// targets, or hostile on any) is `Malformed`, never a silent wrap.
-    fn usize64(&mut self, what: &str) -> Result<usize, FrameError> {
-        fit_usize(self.u64(what)?, what)
-    }
-
-    fn opt_usize64(&mut self, what: &str) -> Result<Option<usize>, FrameError> {
-        self.opt_u64(what)?.map(|v| fit_usize(v, what)).transpose()
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, FrameError> {
-        let len = self.u32(what)? as usize;
-        if len > self.remaining() {
-            return Err(FrameError::Malformed(format!(
-                "{what}: declared string length {len} exceeds {} remaining bytes",
-                self.remaining()
-            )));
-        }
-        String::from_utf8(self.take(len, what)?.to_vec())
-            .map_err(|e| FrameError::Malformed(format!("{what}: invalid UTF-8: {e}")))
-    }
-
-    fn opt_u64(&mut self, what: &str) -> Result<Option<u64>, FrameError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64(what)?)),
-            b => Err(FrameError::Malformed(format!(
-                "{what}: bad presence byte {b}"
-            ))),
-        }
-    }
-
-    fn opt_str(&mut self, what: &str) -> Result<Option<String>, FrameError> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.str(what)?)),
-            b => Err(FrameError::Malformed(format!(
-                "{what}: bad presence byte {b}"
-            ))),
-        }
-    }
-
-    fn usize_arr(&mut self, what: &str) -> Result<Vec<usize>, FrameError> {
-        let count = self.u32(what)? as usize;
-        // Each entry is 8 bytes: a declared count past the remaining
-        // bytes is hostile input, refused before any allocation.
-        if count > self.remaining() / 8 {
-            return Err(FrameError::Malformed(format!(
-                "{what}: declared {count} entries exceed {} remaining bytes",
-                self.remaining()
-            )));
-        }
-        (0..count).map(|_| self.usize64(what)).collect()
-    }
-
-    fn finish(self, what: &str) -> Result<(), FrameError> {
-        if self.remaining() > 0 {
-            return Err(FrameError::Malformed(format!(
-                "{what}: {} trailing bytes",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Checked `u64` → `usize` narrowing for decoded wire fields.
-fn fit_usize(v: u64, what: &str) -> Result<usize, FrameError> {
-    usize::try_from(v).map_err(|_| {
-        FrameError::Malformed(format!(
-            "{what}: value {v} does not fit usize on this target"
-        ))
-    })
+    let mut w = Vec::new();
+    response.write(&mut w);
+    w
 }
 
 /// Decode a request payload. Failures come back as a ready-to-send
-/// [`ErrorResponse`] — the binary twin of [`Request::from_line`],
-/// including the same calibration-bounds validation with the same
-/// messages (and the same id echo), so the two protocols refuse
-/// identical bad requests with identical errors.
+/// [`ErrorResponse`] — the binary twin of [`Request::from_line`]: a
+/// structural failure carries no id, a field out of bounds carries the
+/// decoded id and the same message v1 reports.
 pub fn decode_request_payload(payload: &[u8]) -> Result<Request, ErrorResponse> {
-    decode_request_inner(payload).map_err(|e| {
-        let (id, message) = match &e {
-            FrameError::Malformed(m) if m.contains('\u{0}') => {
-                let (id, msg) = m.split_once('\u{0}').expect("separator checked");
-                (id.to_string(), msg.to_string())
-            }
-            other => (String::new(), other.to_string()),
-        };
-        ErrorResponse {
-            id,
-            code: ErrorCode::BadRequest,
-            message,
-        }
-    })
-}
-
-fn decode_request_inner(payload: &[u8]) -> Result<Request, FrameError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8("request tag")?;
-    let request = match tag {
-        1 => {
-            let id = r.str("map.id")?;
-            let pattern_csv = r.str("map.pattern_csv")?;
-            let mut m = MapRequest::new(id, pattern_csv);
-            m.ranks = r.opt_usize64("map.ranks")?;
-            m.constraints_csv = r.opt_str("map.constraints_csv")?;
-            m.algorithm = r.str("map.algorithm")?;
-            m.seed = r.u64("map.seed")?;
-            m.kappa = r.usize64("map.kappa")?;
-            m.samples = r.usize64("map.samples")?;
-            m.calibration = CalibSpec {
-                days: r.usize64("map.calibration.days")?,
-                probes_per_day: r.usize64("map.calibration.probes")?,
-                noise_cv: r.f64("map.calibration.noise")?,
-                loss_rate: r.f64("map.calibration.loss")?,
-                seed: r.u64("map.calibration.seed")?,
-            };
-            m.deadline_ms = r.opt_u64("map.deadline_ms")?;
-            m.reserve = r.bool("map.reserve")?;
-            m.lease_ttl_ms = r.opt_u64("map.lease_ttl_ms")?;
-            m.use_result_cache = r.bool("map.cache")?;
-            m.idempotency_key = r.opt_str("map.idem")?;
-            // Optional trailing extensions: old peers end the payload
-            // here, new peers may append any marker-led suffix.
-            while r.remaining() > 0 {
-                let marker = r.u8("map.ext marker")?;
-                match marker {
-                    TRACE_EXT_MARKER => {
-                        m.trace = Some(TraceContext {
-                            trace_id: r.u64("map.trace.id")?,
-                            parent_span: r.u64("map.trace.parent")?,
-                            sampled: r.bool("map.trace.sampled")?,
-                        });
-                    }
-                    MULTILEVEL_EXT_MARKER => {
-                        m.multilevel = Some(MultilevelSpec {
-                            coarsen_cutoff: r.usize64("map.multilevel.cutoff")?,
-                            match_rounds: r.usize64("map.multilevel.rounds")?,
-                            refine_passes: r.usize64("map.multilevel.passes")?,
-                        });
-                    }
-                    other => {
-                        return Err(FrameError::Malformed(format!(
-                            "map.trace: unknown extension marker {other}"
-                        )));
-                    }
-                }
-            }
-            r.finish("map request")?;
-            if let Some(ml) = &m.multilevel {
-                // Same bounds v1 enforces, with the same messages.
-                if ml.coarsen_cutoff == 0 {
-                    return Err(bad_field(&m.id, "multilevel cutoff must be >= 1"));
-                }
-                if ml.match_rounds == 0 {
-                    return Err(bad_field(&m.id, "multilevel rounds must be >= 1"));
-                }
-            }
-            // The same bounds v1 enforces at decode time, with the same
-            // messages (the differential suite compares them verbatim).
-            if !(m.calibration.noise_cv.is_finite() && m.calibration.noise_cv >= 0.0) {
-                return Err(bad_field(
-                    &m.id,
-                    "calibration noise must be finite and >= 0",
-                ));
-            }
-            if !(m.calibration.loss_rate.is_finite()
-                && (0.0..1.0).contains(&m.calibration.loss_rate))
-            {
-                return Err(bad_field(&m.id, "calibration loss must be in [0, 1)"));
-            }
-            Request::Map(m)
-        }
-        2 => {
-            let id = r.str("release.id")?;
-            let lease = r.u64("release.lease")?;
-            r.finish("release request")?;
-            Request::Release { id, lease }
-        }
-        3 => {
-            let id = r.str("stats.id")?;
-            // Optional trailing detail flag (absent = false).
-            let detail = if r.remaining() > 0 {
-                r.bool("stats.detail")?
-            } else {
-                false
-            };
-            r.finish("stats request")?;
-            Request::Stats { id, detail }
-        }
-        4 => {
-            let id = r.str("shutdown.id")?;
-            r.finish("shutdown request")?;
-            Request::Shutdown { id }
-        }
-        5 => {
-            let id = r.str("journal.id")?;
-            let key = r.str("journal.key")?;
-            r.finish("journal request")?;
-            Request::Journal { id, key }
-        }
-        6 => {
-            let id = r.str("trace_dump.id")?;
-            r.finish("trace dump request")?;
-            Request::TraceDump { id }
-        }
-        7 => {
-            let id = r.str("remap.id")?;
-            let pattern_csv = r.str("remap.pattern_csv")?;
-            let mapping = r.usize_arr("remap.mapping")?;
-            let mut m = RemapRequest::new(id, pattern_csv, mapping);
-            m.constraints_csv = r.opt_str("remap.constraints_csv")?;
-            m.budget = r.opt_u64("remap.budget")?;
-            m.alpha = r.f64("remap.alpha")?;
-            m.calibration = CalibSpec {
-                days: r.usize64("remap.calibration.days")?,
-                probes_per_day: r.usize64("remap.calibration.probes")?,
-                noise_cv: r.f64("remap.calibration.noise")?,
-                loss_rate: r.f64("remap.calibration.loss")?,
-                seed: r.u64("remap.calibration.seed")?,
-            };
-            m.lease = r.opt_u64("remap.lease")?;
-            r.finish("remap request")?;
-            // The same bounds the v1 decoder enforces, same messages.
-            if m.mapping.is_empty() {
-                return Err(bad_field(&m.id, "remap request needs a non-empty mapping"));
-            }
-            if !(m.alpha.is_finite() && m.alpha >= 0.0) {
-                return Err(bad_field(&m.id, "remap alpha must be finite and >= 0"));
-            }
-            Request::Remap(m)
-        }
-        other => {
-            return Err(FrameError::Malformed(format!(
-                "unknown request tag {other}"
-            )))
-        }
+    let bad = |id: &str, message: String| ErrorResponse {
+        id: id.to_string(),
+        code: ErrorCode::BadRequest,
+        message,
     };
+    let request = Request::read(&mut Reader::new(payload)).map_err(|e| bad("", e.to_string()))?;
+    request.check().map_err(|m| bad(request.id(), m.into()))?;
     Ok(request)
-}
-
-/// A validation failure that must carry the request id (unlike
-/// structural failures, where no id was recoverable). Smuggled through
-/// [`FrameError::Malformed`] as `id\u{0}message` and unpacked by
-/// [`decode_request_payload`].
-fn bad_field(id: &str, message: &str) -> FrameError {
-    FrameError::Malformed(format!("{id}\u{0}{message}"))
 }
 
 /// Decode a response payload (the client side) — the binary twin of
 /// [`Response::from_line`].
 pub fn decode_response_payload(payload: &[u8]) -> Result<Response, FrameError> {
-    let mut r = Reader::new(payload);
-    let tag = r.u8("response tag")?;
-    let response = match tag {
-        1 => {
-            let resp = Response::Map(MapResponse {
-                id: r.str("map.id")?,
-                mapping: r.usize_arr("map.mapping")?,
-                cost: r.f64("map.cost")?,
-                cached: {
-                    let code = r.u8("map.cached")?;
-                    CacheTier::from_code(code).ok_or_else(|| {
-                        FrameError::Malformed(format!("map.cached: bad tier code {code}"))
-                    })?
-                },
-                queue_wait_s: r.f64("map.queue_wait_s")?,
-                solve_s: r.f64("map.solve_s")?,
-                lease: r.opt_u64("map.lease")?,
-                site_counts: r.usize_arr("map.site_counts")?,
-                free_nodes: r.usize_arr("map.free_nodes")?,
-                degraded: r.bool("map.degraded")?,
-                staleness: r.u64("map.staleness")?,
-            });
-            r.finish("map response")?;
-            resp
-        }
-        2 => {
-            let resp = Response::Release {
-                id: r.str("release.id")?,
-                freed: r.usize_arr("release.freed")?,
-                free_nodes: r.usize_arr("release.free_nodes")?,
-            };
-            r.finish("release response")?;
-            resp
-        }
-        3 => {
-            let mut s = StatsResponse {
-                id: r.str("stats.id")?,
-                served: r.u64("stats.served")?,
-                result_hits: r.u64("stats.result_hits")?,
-                problem_hits: r.u64("stats.problem_hits")?,
-                misses: r.u64("stats.misses")?,
-                rejected: r.u64("stats.rejected")?,
-                replays: r.u64("stats.replays")?,
-                free_nodes: r.usize_arr("stats.free_nodes")?,
-                active_leases: r.u64("stats.active_leases")?,
-                detail: None,
-            };
-            // Optional trailing extension, sent only when asked for.
-            if r.remaining() > 0 {
-                s.detail = Some(read_stats_detail(&mut r)?);
-            }
-            r.finish("stats response")?;
-            Response::Stats(s)
-        }
-        4 => {
-            let resp = Response::Shutdown {
-                id: r.str("shutdown.id")?,
-                draining: r.u64("shutdown.draining")?,
-            };
-            r.finish("shutdown response")?;
-            resp
-        }
-        5 => {
-            let resp = Response::Error(ErrorResponse {
-                id: r.str("error.id")?,
-                code: {
-                    let code = r.u8("error.code")?;
-                    ErrorCode::from_code(code).ok_or_else(|| {
-                        FrameError::Malformed(format!("error.code: bad code {code}"))
-                    })?
-                },
-                message: r.str("error.message")?,
-            });
-            r.finish("error response")?;
-            resp
-        }
-        6 => {
-            let resp = Response::Journal(JournalResponse {
-                id: r.str("journal.id")?,
-                key: r.str("journal.key")?,
-                held: r.bool("journal.held")?,
-                lease: r.opt_u64("journal.lease")?,
-                site_counts: r.usize_arr("journal.site_counts")?,
-            });
-            r.finish("journal response")?;
-            resp
-        }
-        7 => {
-            let id = r.str("trace_dump.id")?;
-            let now_s = r.f64("trace_dump.now_s")?;
-            let dropped = r.u64("trace_dump.dropped")?;
-            let track_count = r.u32("trace_dump.tracks")? as usize;
-            // Smallest possible track entry: u32 id + two empty strings
-            // (4 bytes each) — refuse hostile counts before allocating.
-            if track_count > r.remaining() / 12 {
-                return Err(FrameError::Malformed(format!(
-                    "trace_dump.tracks: declared {track_count} entries exceed {} remaining bytes",
-                    r.remaining()
-                )));
-            }
-            let tracks = (0..track_count)
-                .map(|_| {
-                    Ok(WireTrack {
-                        track: r.u32("trace_dump.track.id")?,
-                        process: r.str("trace_dump.track.process")?,
-                        name: r.str("trace_dump.track.name")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, FrameError>>()?;
-            let event_count = r.u32("trace_dump.events")? as usize;
-            // Smallest event entry: u32 track + empty string (4) + kind
-            // byte + two f64s = 25 bytes.
-            if event_count > r.remaining() / 25 {
-                return Err(FrameError::Malformed(format!(
-                    "trace_dump.events: declared {event_count} entries exceed {} remaining bytes",
-                    r.remaining()
-                )));
-            }
-            let events = (0..event_count)
-                .map(|_| {
-                    Ok(WireTraceEvent {
-                        track: r.u32("trace_dump.event.track")?,
-                        name: r.str("trace_dump.event.name")?,
-                        kind: r.u8("trace_dump.event.kind")?,
-                        ts_s: r.f64("trace_dump.event.ts")?,
-                        value: r.f64("trace_dump.event.value")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, FrameError>>()?;
-            let resp = Response::TraceDump(TraceDumpResponse {
-                id,
-                now_s,
-                dropped,
-                tracks,
-                events,
-            });
-            r.finish("trace dump response")?;
-            resp
-        }
-        8 => {
-            let resp = Response::RemapDiff(RemapDiffResponse {
-                id: r.str("remap.id")?,
-                mapping: r.usize_arr("remap.mapping")?,
-                moved: r.usize_arr("remap.moved")?,
-                old_cost: r.f64("remap.old_cost")?,
-                new_cost: r.f64("remap.new_cost")?,
-                migrations: r.u64("remap.migrations")?,
-                lease: r.opt_u64("remap.lease")?,
-                free_nodes: r.usize_arr("remap.free_nodes")?,
-            });
-            r.finish("remap response")?;
-            resp
-        }
-        other => {
-            return Err(FrameError::Malformed(format!(
-                "unknown response tag {other}"
-            )))
-        }
-    };
-    Ok(response)
-}
-
-/// Read the trailing [`StatsDetail`] extension of a stats response.
-fn read_stats_detail(r: &mut Reader<'_>) -> Result<StatsDetail, FrameError> {
-    let hist_schema = r.u64("stats.detail.hist_schema")?;
-    let queue_depth = r.u64("stats.detail.queue_depth")?;
-    let max_queue_depth = r.u64("stats.detail.max_queue_depth")?;
-    let leased_nodes = r.usize_arr("stats.detail.leased_nodes")?;
-    let hist_count = r.u32("stats.detail.hists")? as usize;
-    // Smallest possible summary is well over 60 bytes; a loose 16-byte
-    // floor still refuses hostile counts before any allocation.
-    if hist_count > r.remaining() / 16 {
-        return Err(FrameError::Malformed(format!(
-            "stats.detail.hists: declared {hist_count} entries exceed {} remaining bytes",
-            r.remaining()
-        )));
-    }
-    let mut hists = Vec::with_capacity(hist_count);
-    for _ in 0..hist_count {
-        let name = r.str("stats.detail.hist.name")?;
-        let count = r.u64("stats.detail.hist.count")?;
-        let sum_us = r.u64("stats.detail.hist.sum")?;
-        let min_us = r.opt_u64("stats.detail.hist.min")?;
-        let max_us = r.opt_u64("stats.detail.hist.max")?;
-        let p50_us = r.u64("stats.detail.hist.p50")?;
-        let p90_us = r.u64("stats.detail.hist.p90")?;
-        let p99_us = r.u64("stats.detail.hist.p99")?;
-        let p999_us = r.u64("stats.detail.hist.p999")?;
-        let bucket_count = r.u32("stats.detail.hist.buckets")? as usize;
-        // Each bucket pair is 12 bytes on the wire.
-        if bucket_count > r.remaining() / 12 {
-            return Err(FrameError::Malformed(format!(
-                "stats.detail.hist.buckets: declared {bucket_count} entries exceed {} remaining bytes",
-                r.remaining()
-            )));
-        }
-        let buckets = (0..bucket_count)
-            .map(|_| {
-                Ok((
-                    r.u32("stats.detail.hist.bucket.index")?,
-                    r.u64("stats.detail.hist.bucket.count")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, FrameError>>()?;
-        hists.push(HistSummary {
-            name,
-            count,
-            sum_us,
-            min_us,
-            max_us,
-            p50_us,
-            p90_us,
-            p99_us,
-            p999_us,
-            buckets,
-        });
-    }
-    let shards = r.u64("stats.detail.shards")?;
-    Ok(StatsDetail {
-        hist_schema,
-        queue_depth,
-        max_queue_depth,
-        leased_nodes,
-        hists,
-        shards,
-    })
+    Response::read(&mut Reader::new(payload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{
+        CalibSpec, HistSummary, JournalResponse, MapRequest, RemapDiffResponse, RemapRequest,
+        StatsDetail, StatsResponse, TraceContext, TraceDumpResponse, WireTraceEvent, WireTrack,
+    };
+    use crate::schema::Wire;
+
+    /// Raw payload bytes, field by field, for probing the decoder with
+    /// layouts no encoder would produce.
+    struct Writer {
+        out: Vec<u8>,
+    }
+
+    impl Writer {
+        fn new() -> Self {
+            Self { out: Vec::new() }
+        }
+        fn u8(&mut self, x: u8) {
+            x.write(&mut self.out);
+        }
+        fn bool(&mut self, x: bool) {
+            Wire::write(&x, &mut self.out);
+        }
+        fn u32(&mut self, x: u32) {
+            x.write(&mut self.out);
+        }
+        fn u64(&mut self, x: u64) {
+            x.write(&mut self.out);
+        }
+        fn f64(&mut self, x: f64) {
+            x.write(&mut self.out);
+        }
+        fn str(&mut self, s: &str) {
+            s.to_string().write(&mut self.out);
+        }
+        fn usize_arr(&mut self, xs: &[usize]) {
+            xs.to_vec().write(&mut self.out);
+        }
+    }
 
     fn sample_map_request() -> Request {
         let mut m = MapRequest::new("r1", "src,dst,bytes,msgs\n0,1,5,2\n");

@@ -20,9 +20,10 @@
 //! Layering:
 //!
 //! ```text
-//! proto (request/response structs)  wire (domain JSON, WireFormat)
-//!        ├── json (v1 parser/emitter) ──┤
-//!        └── frame (v2 binary frames) ──┘
+//! proto (request/response field tables)  wire (WireFormat)
+//!        ├── schema (table → v1 + v2 codecs)
+//!        ├── json (v1 parser/emitter)
+//!        └── frame (v2 binary frames)
 //! service::MappingService            ← in-memory mode, deterministic
 //!        ├── inventory  ├── cache  ├── fingerprint
 //! server::MappingServer              ← TCP front-end, reactor threads
@@ -52,6 +53,7 @@ pub mod inventory;
 pub mod json;
 pub mod proto;
 pub mod reconciler;
+mod schema;
 pub mod server;
 pub mod service;
 pub mod transport;

@@ -1220,13 +1220,15 @@ impl MappingService {
                 value: e.value,
             })
             .collect();
-        Response::TraceDump(TraceDumpResponse {
+        let mut dump = TraceDumpResponse {
             id: id.to_string(),
             now_s: self.config.trace.now(),
             dropped: ring.dropped(),
             tracks,
             events,
-        })
+        };
+        dump.fit_frame();
+        Response::TraceDump(dump)
     }
 
     /// The latency histograms (bench read-back and tests).
@@ -1301,5 +1303,51 @@ impl std::fmt::Debug for MappingService {
             .field("problems", &self.problems.len())
             .field("results", &self.results.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{self, Frame, MAX_FRAME_BYTES};
+
+    /// A full ring used to encode to a frame past `MAX_FRAME_BYTES`,
+    /// which every peer's decoder (the daemon's own included) refuses.
+    #[test]
+    fn trace_dump_of_a_huge_ring_fits_one_frame() {
+        const EVENTS: usize = 150_000;
+        let ring = Arc::new(RingBufferSink::new(EVENTS + 1024));
+        let trace = Trace::new(ring.clone());
+        let track = trace.track("service", "worker-0");
+        for i in 0..EVENTS {
+            trace.instant(track, "request", i as f64);
+        }
+        let config = ServiceConfig {
+            trace,
+            trace_ring: Some(ring),
+            ..ServiceConfig::default()
+        };
+        let net = geonet::presets::paper_ec2_network(1, geonet::InstanceType::M4Xlarge, 1);
+        let svc = MappingService::new(net, config);
+        let response = svc.handle(&Request::TraceDump { id: "td".into() });
+        let wire = frame::encode_response(&response, 7);
+        assert!(wire.len() <= frame::FRAME_HEADER_BYTES + MAX_FRAME_BYTES);
+        let (f, used) = Frame::decode(&wire).expect("the daemon's own dump must decode");
+        assert_eq!(used, wire.len());
+        let back = frame::decode_response_payload(&f.payload).expect("payload decodes");
+        assert_eq!(back, response);
+        let Response::TraceDump(dump) = back else {
+            panic!("expected a trace dump, got {back:?}");
+        };
+        // The oldest events are the ones cut, and they are counted.
+        let instants: Vec<f64> = dump
+            .events
+            .iter()
+            .filter(|e| e.kind == WireTraceEvent::INSTANT)
+            .map(|e| e.ts_s)
+            .collect();
+        assert!(dump.dropped > 0 && instants[0] > 0.0, "nothing was cut");
+        assert!(instants.windows(2).all(|w| w[1] == w[0] + 1.0));
+        assert_eq!(instants.last(), Some(&((EVENTS - 1) as f64)));
     }
 }

@@ -1,25 +1,8 @@
-//! Structured JSON (de)serialization for the domain types the wire
-//! protocol carries: [`Mapping`], [`SiteNetwork`], [`CommPattern`],
-//! [`ConstraintVector`], [`CalibrationReport`] and the full
-//! [`PipelineResult`].
-//!
-//! The domain types declare themselves `serde::Serialize +
-//! Deserialize` (the workspace's vendored marker traits); this module
-//! supplies the actual encoding against [`crate::json`]. The contract
-//! is *schema stability*: serialize → deserialize must reproduce a
-//! value whose Eq. 3 cost is bit-identical to the original's
-//! (`tests/wire_roundtrip.rs`). Numbers ride on Rust's `f64` Display,
-//! which emits the shortest string that parses back to the same bits,
-//! so matrices and costs survive exactly.
+//! Protocol negotiation: which of the two wire formats a connection
+//! speaks, and the format-sniffing response decoder both clients use.
 
 use crate::frame;
-use crate::json::{obj, Json};
 use crate::proto::{Request, Response};
-use commgraph::CommPattern;
-use geomap_core::pipeline::PipelineResult;
-use geomap_core::{ConstraintVector, Mapping, MappingProblem};
-use geonet::{CalibrationReport, GeoCoord, Site, SiteId, SiteNetwork, SquareMatrix};
-use std::time::Duration;
 
 /// Which encoding a connection speaks. Negotiated per connection by
 /// the first byte on the wire: [`frame::FRAME_MAGIC`] (a UTF-8
@@ -95,300 +78,5 @@ impl WireFormat {
             let line = String::from_utf8_lossy(msg);
             Response::from_line(&line).map(|r| (0, r))
         }
-    }
-}
-
-/// Serialize a mapping as a site-index array.
-pub fn mapping_to_json(mapping: &Mapping) -> Json {
-    Json::Arr(
-        mapping
-            .as_slice()
-            .iter()
-            .map(|s| Json::Num(s.index() as f64))
-            .collect(),
-    )
-}
-
-/// Deserialize a mapping from a site-index array.
-pub fn mapping_from_json(v: &Json) -> Result<Mapping, String> {
-    let sites = v
-        .as_arr()
-        .ok_or("mapping must be an array")?
-        .iter()
-        .map(|x| x.as_u64().map(|i| SiteId(i as usize)))
-        .collect::<Option<Vec<_>>>()
-        .ok_or("mapping entries must be non-negative integers")?;
-    Ok(Mapping::new(sites))
-}
-
-fn matrix_to_json(m: &SquareMatrix) -> Json {
-    let n = m.n();
-    let mut flat = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            flat.push(Json::Num(m.get(i, j)));
-        }
-    }
-    Json::Arr(flat)
-}
-
-fn matrix_from_json(v: &Json, n: usize, what: &str) -> Result<SquareMatrix, String> {
-    let flat = v
-        .as_arr()
-        .ok_or_else(|| format!("{what} must be an array"))?
-        .iter()
-        .map(|x| x.as_f64())
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| format!("{what} entries must be numbers"))?;
-    if flat.len() != n * n {
-        return Err(format!(
-            "{what} has {} entries, expected {}",
-            flat.len(),
-            n * n
-        ));
-    }
-    Ok(SquareMatrix::from_vec(n, flat))
-}
-
-/// Serialize a network as sites plus row-major `LT`/`BT`.
-pub fn network_to_json(net: &SiteNetwork) -> Json {
-    obj(vec![
-        (
-            "sites",
-            Json::Arr(
-                net.sites()
-                    .iter()
-                    .map(|s| {
-                        obj(vec![
-                            ("name", Json::Str(s.name.clone())),
-                            ("lat", Json::Num(s.coord.lat)),
-                            ("lon", Json::Num(s.coord.lon)),
-                            ("nodes", Json::Num(s.nodes as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("lt", matrix_to_json(net.lt())),
-        ("bt", matrix_to_json(net.bt())),
-    ])
-}
-
-/// Deserialize a network.
-pub fn network_from_json(v: &Json) -> Result<SiteNetwork, String> {
-    let sites = v
-        .get("sites")
-        .and_then(Json::as_arr)
-        .ok_or("network missing \"sites\" array")?
-        .iter()
-        .map(|s| -> Result<Site, String> {
-            Ok(Site::new(
-                s.get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("site missing \"name\"")?,
-                GeoCoord::new(
-                    s.get("lat")
-                        .and_then(Json::as_f64)
-                        .ok_or("site missing \"lat\"")?,
-                    s.get("lon")
-                        .and_then(Json::as_f64)
-                        .ok_or("site missing \"lon\"")?,
-                ),
-                s.get("nodes")
-                    .and_then(Json::as_u64)
-                    .ok_or("site missing \"nodes\"")? as usize,
-            ))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let m = sites.len();
-    let lt = matrix_from_json(v.get("lt").ok_or("network missing \"lt\"")?, m, "lt")?;
-    let bt = matrix_from_json(v.get("bt").ok_or("network missing \"bt\"")?, m, "bt")?;
-    Ok(SiteNetwork::new(sites, lt, bt))
-}
-
-/// Serialize a communication pattern (its CSV edge list, embedded —
-/// the exact interchange format the file-based commands use).
-pub fn pattern_to_json(pattern: &CommPattern) -> Json {
-    obj(vec![
-        ("n", Json::Num(pattern.n() as f64)),
-        ("csv", Json::Str(pattern.to_csv())),
-    ])
-}
-
-/// Deserialize a communication pattern.
-pub fn pattern_from_json(v: &Json) -> Result<CommPattern, String> {
-    let n = v
-        .get("n")
-        .and_then(Json::as_u64)
-        .ok_or("pattern missing \"n\"")? as usize;
-    let csv = v
-        .get("csv")
-        .and_then(Json::as_str)
-        .ok_or("pattern missing \"csv\"")?;
-    CommPattern::from_csv(n, csv)
-}
-
-/// Serialize constraints as `[site|null; n]`.
-pub fn constraints_to_json(c: &ConstraintVector) -> Json {
-    Json::Arr(
-        c.iter()
-            .map(|pin| pin.map_or(Json::Null, |s| Json::Num(s.index() as f64)))
-            .collect(),
-    )
-}
-
-/// Deserialize constraints.
-pub fn constraints_from_json(v: &Json) -> Result<ConstraintVector, String> {
-    let pins = v
-        .as_arr()
-        .ok_or("constraints must be an array")?
-        .iter()
-        .map(|x| {
-            if x.is_null() {
-                Ok(None)
-            } else {
-                x.as_u64()
-                    .map(|i| Some(SiteId(i as usize)))
-                    .ok_or("constraint entries must be integers or null")
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ConstraintVector::from_pins(pins))
-}
-
-/// Serialize a calibration report.
-pub fn calibration_to_json(report: &CalibrationReport) -> Json {
-    obj(vec![
-        ("estimated", network_to_json(&report.estimated)),
-        ("bandwidth_cv", matrix_to_json(&report.bandwidth_cv)),
-        ("probes", Json::Num(report.probes as f64)),
-        ("degraded", Json::Bool(report.degraded)),
-        ("stale_pairs", Json::Num(report.stale_pairs as f64)),
-        ("staleness", Json::Num(report.staleness as f64)),
-    ])
-}
-
-/// Deserialize a calibration report.
-pub fn calibration_from_json(v: &Json) -> Result<CalibrationReport, String> {
-    let estimated = network_from_json(
-        v.get("estimated")
-            .ok_or("calibration missing \"estimated\"")?,
-    )?;
-    let m = estimated.num_sites();
-    Ok(CalibrationReport {
-        bandwidth_cv: matrix_from_json(
-            v.get("bandwidth_cv")
-                .ok_or("calibration missing \"bandwidth_cv\"")?,
-            m,
-            "bandwidth_cv",
-        )?,
-        probes: v
-            .get("probes")
-            .and_then(Json::as_u64)
-            .ok_or("calibration missing \"probes\"")? as usize,
-        // Degradation fields default to "fresh" so documents written
-        // before they existed still decode.
-        degraded: v.get("degraded").and_then(Json::as_bool).unwrap_or(false),
-        stale_pairs: v.get("stale_pairs").and_then(Json::as_u64).unwrap_or(0) as usize,
-        staleness: v.get("staleness").and_then(Json::as_u64).unwrap_or(0),
-        estimated,
-    })
-}
-
-/// Serialize everything a pipeline run produced.
-pub fn pipeline_result_to_json(r: &PipelineResult) -> Json {
-    obj(vec![
-        ("pattern", pattern_to_json(&r.pattern)),
-        ("compression_ratio", Json::Num(r.compression_ratio)),
-        ("calibration", calibration_to_json(&r.calibration)),
-        ("constraints", constraints_to_json(r.problem.constraints())),
-        ("mapping", mapping_to_json(&r.mapping)),
-        ("estimated_cost", Json::Num(r.estimated_cost)),
-        (
-            "optimization_time_s",
-            Json::Num(r.optimization_time.as_secs_f64()),
-        ),
-    ])
-}
-
-/// Deserialize a pipeline result. The problem is reassembled from the
-/// pattern, the calibrated estimate and the constraints — the cached
-/// partner lists and scalars are recomputed deterministically from the
-/// exact same inputs, so the Eq. 3 cost is bit-identical.
-pub fn pipeline_result_from_json(v: &Json) -> Result<PipelineResult, String> {
-    let pattern = pattern_from_json(v.get("pattern").ok_or("result missing \"pattern\"")?)?;
-    let calibration = calibration_from_json(
-        v.get("calibration")
-            .ok_or("result missing \"calibration\"")?,
-    )?;
-    let constraints = constraints_from_json(
-        v.get("constraints")
-            .ok_or("result missing \"constraints\"")?,
-    )?;
-    let problem = MappingProblem::new(pattern.clone(), calibration.estimated.clone(), constraints);
-    Ok(PipelineResult {
-        pattern,
-        compression_ratio: v
-            .get("compression_ratio")
-            .and_then(Json::as_f64)
-            .ok_or("result missing \"compression_ratio\"")?,
-        calibration,
-        problem,
-        mapping: mapping_from_json(v.get("mapping").ok_or("result missing \"mapping\"")?)?,
-        estimated_cost: v
-            .get("estimated_cost")
-            .and_then(Json::as_f64)
-            .ok_or("result missing \"estimated_cost\"")?,
-        optimization_time: Duration::from_secs_f64(
-            v.get("optimization_time_s")
-                .and_then(Json::as_f64)
-                .ok_or("result missing \"optimization_time_s\"")?,
-        ),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use geonet::{presets, InstanceType};
-
-    #[test]
-    fn network_roundtrips_bit_identically() {
-        let net = presets::paper_ec2_network(16, InstanceType::M4Xlarge, 42);
-        let back = network_from_json(&Json::parse(&network_to_json(&net).emit()).unwrap()).unwrap();
-        assert_eq!(back, net);
-    }
-
-    #[test]
-    fn mapping_roundtrips() {
-        let m = Mapping::from(vec![0usize, 3, 1, 2, 2]);
-        let back = mapping_from_json(&Json::parse(&mapping_to_json(&m).emit()).unwrap()).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn constraints_roundtrip_with_nulls() {
-        let mut c = ConstraintVector::none(5);
-        c.pin(1, SiteId(3));
-        c.pin(4, SiteId(0));
-        let back =
-            constraints_from_json(&Json::parse(&constraints_to_json(&c).emit()).unwrap()).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn bad_documents_are_descriptive() {
-        assert!(network_from_json(&Json::Null)
-            .unwrap_err()
-            .contains("sites"));
-        assert!(mapping_from_json(&Json::Str("x".into()))
-            .unwrap_err()
-            .contains("array"));
-        let short = obj(vec![
-            ("sites", Json::Arr(vec![])),
-            ("lt", Json::Arr(vec![Json::Num(1.0)])),
-            ("bt", Json::Arr(vec![])),
-        ]);
-        assert!(network_from_json(&short).unwrap_err().contains("entries"));
     }
 }

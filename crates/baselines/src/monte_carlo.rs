@@ -7,10 +7,8 @@
 //! best-of-K mapper.
 
 use crate::random::random_mapping;
-use geomap_core::delta::{polish_stats_traced, Evaluation};
-use geomap_core::{
-    cost, CostModel, Mapper, Mapping, MappingProblem, Metrics, Trace, TraceScope, TrackId,
-};
+use geomap_core::delta::{polish, CostTables, Evaluation};
+use geomap_core::{cost, CostModel, Mapper, Mapping, MappingProblem, Metrics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -28,12 +26,11 @@ pub struct MonteCarlo {
     /// Δ-cost engine for the polish sweeps.
     pub evaluation: Evaluation,
     /// Observability handle (off by default): sample count, sampling
-    /// time, and — when polishing — refinement search stats.
+    /// time, and — when polishing — refinement search stats. Its trace
+    /// gets `sampling`/`refinement` spans — with per-pass spans and
+    /// accepted-`swap` instants during the polish — on a
+    /// `"search"/"MonteCarlo"` track.
     pub metrics: Metrics,
-    /// Event-level tracing (off by default): `sampling`/`refinement`
-    /// spans — with per-pass spans and accepted-`swap` instants during
-    /// the polish — on a `"search"/"MonteCarlo"` track.
-    pub trace: Trace,
 }
 
 impl MonteCarlo {
@@ -46,7 +43,6 @@ impl MonteCarlo {
             polish_passes: 0,
             evaluation: Evaluation::Incremental,
             metrics: Metrics::off(),
-            trace: Trace::off(),
         }
     }
 
@@ -128,15 +124,8 @@ impl Mapper for MonteCarlo {
         );
         let metrics = self.metrics.scoped(self.name());
         metrics.counter("search.samples", self.samples as u64);
-        let trace = &self.trace;
-        let track = if trace.enabled() {
-            trace.track("search", self.name())
-        } else {
-            TrackId::DISABLED
-        };
-        let tscope = TraceScope::new(trace, track);
-        tscope.span_begin("sampling");
-        let best = metrics.timed("phase.sampling", || {
+        let tscope = metrics.track("search", self.name());
+        let best = metrics.phase(tscope, "sampling", "phase.sampling", || {
             (0..self.samples)
                 .into_par_iter()
                 .map(|i| {
@@ -147,24 +136,21 @@ impl Mapper for MonteCarlo {
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
                 .expect("non-empty sample range")
         });
-        tscope.span_end("sampling");
         let mut m = best.2;
         if self.polish_passes > 0 {
             let constraints = problem.constraints();
             let movable = |i: usize| constraints.pin_of(i).is_none();
-            tscope.span_begin("refinement");
-            let stats = metrics.timed("phase.refinement", || {
-                polish_stats_traced(
-                    problem,
+            let stats = metrics.phase(tscope, "refinement", "phase.refinement", || {
+                polish(
+                    &CostTables::build(problem, CostModel::Full),
+                    self.evaluation,
                     &mut m,
                     self.polish_passes,
-                    CostModel::Full,
-                    self.evaluation,
                     &movable,
+                    &|_, _| true,
                     tscope,
                 )
             });
-            tscope.span_end("refinement");
             stats.emit(&metrics);
         }
         m

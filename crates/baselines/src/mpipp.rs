@@ -11,8 +11,8 @@
 //! processes.
 
 use crate::random::random_mapping;
-use geomap_core::delta::{best_improving_swap_counted, CostTables, Evaluation, SearchStats};
-use geomap_core::{cost, Mapper, Mapping, MappingProblem, Metrics, Trace, TraceScope, TrackId};
+use geomap_core::delta::{best_improving_swap, CostTables, Evaluation, SearchStats};
+use geomap_core::{cost, Mapper, Mapping, MappingProblem, Metrics, TraceScope};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,12 +34,10 @@ pub struct MpippMapper {
     /// behaviour, kept for verification).
     pub evaluation: Evaluation,
     /// Observability handle (off by default): restart count, exchange
-    /// rounds, swaps evaluated vs. accepted, Eq. 3 terms touched.
+    /// rounds, swaps evaluated vs. accepted, Eq. 3 terms touched; its
+    /// trace gets `restart` and per-round `pass` spans plus
+    /// accepted-`swap` instants on a `"search"/"MPIPP"` track.
     pub metrics: Metrics,
-    /// Event-level tracing (off by default): `restart` and per-round
-    /// `pass` spans plus accepted-`swap` instants on a
-    /// `"search"/"MPIPP"` track.
-    pub trace: Trace,
 }
 
 impl MpippMapper {
@@ -60,7 +58,6 @@ impl Default for MpippMapper {
             seed: 0x3B1B,
             evaluation: Evaluation::Incremental,
             metrics: Metrics::off(),
-            trace: Trace::off(),
         }
     }
 }
@@ -90,7 +87,7 @@ impl MpippMapper {
             .evaluator(tables, mapping.as_slice().to_vec());
         for _ in 0..self.max_rounds {
             scope.span_begin("pass");
-            let (swap, evaluated) = best_improving_swap_counted(eval.as_ref(), &movable, SWAP_EPS);
+            let (swap, evaluated) = best_improving_swap(eval.as_ref(), &movable, SWAP_EPS);
             stats.passes += 1;
             stats.swaps_evaluated += evaluated;
             let Some((a, b, _)) = swap else {
@@ -120,13 +117,7 @@ impl Mapper for MpippMapper {
         let metrics = self.metrics.scoped(self.name());
         let tables = CostTables::build(problem, geomap_core::CostModel::Full);
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let trace = &self.trace;
-        let track = if trace.enabled() {
-            trace.track("search", self.name())
-        } else {
-            TrackId::DISABLED
-        };
-        let tscope = TraceScope::new(trace, track);
+        let tscope = metrics.track("search", self.name());
         let (best, total) = metrics.timed("phase.refinement", || {
             let mut best: Option<(Mapping, f64)> = None;
             let mut total = SearchStats::default();

@@ -22,7 +22,7 @@
 //! re-checks the gates from the JSON with an independent validator.
 
 use geomap_bench::experiments::multilevel::{run_scale, DIRECT_LIMIT, QUICK_SWEEP, SWEEP};
-use geomap_core::{Metrics, MultilevelConfig, Trace};
+use geomap_core::{Metrics, MultilevelConfig};
 use geomap_service::json::{obj, Json};
 use std::process::ExitCode;
 
@@ -98,14 +98,7 @@ fn run() -> Result<String, String> {
     let mut largest: Option<(usize, f64)> = None;
     for &n in &sweep {
         eprintln!("multilevel_bench: N={n} over 20 Azure regions...");
-        let r = run_scale(
-            n,
-            cfg.seed,
-            ml,
-            cfg.direct_limit,
-            &Metrics::off(),
-            &Trace::off(),
-        );
+        let r = run_scale(n, cfg.seed, ml, cfg.direct_limit, &Metrics::off());
         eprintln!(
             "  multilevel {:.3} s, cost {:.6}{}",
             r.ml_time_s,

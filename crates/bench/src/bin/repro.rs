@@ -46,7 +46,6 @@ fn main() -> ExitCode {
         seed: 0x5C17,
         out_dir: Some(default_results_dir()),
         metrics: Metrics::off(),
-        trace: Trace::off(),
     };
     let mut trace_out: Option<(Arc<RingBufferSink>, TraceDest)> = None;
 
@@ -89,7 +88,8 @@ fn main() -> ExitCode {
                         }
                     }
                 };
-                ctx.metrics = Metrics::new(Arc::new(sink));
+                let trace = ctx.metrics.trace().clone();
+                ctx.metrics = Metrics::new(Arc::new(sink)).with_trace(trace);
             }
             "--trace" => {
                 i += 1;
@@ -110,7 +110,7 @@ fn main() -> ExitCode {
                     }
                 };
                 let sink = Arc::new(RingBufferSink::new(TRACE_CAPACITY));
-                ctx.trace = Trace::new(sink.clone());
+                ctx.metrics = ctx.metrics.with_trace(Trace::new(sink.clone()));
                 trace_out = Some((sink, dest));
             }
             "list" => {

@@ -14,7 +14,9 @@
 use crate::util::{improvement_pct, mean, Csv, ExpContext};
 use baselines::{paper_mappers, RandomMapper};
 use commgraph::apps::AppKind;
-use geomap_core::{cost, AllowedSites, ConstraintVector, GeoMapperMulti, Mapper, MappingProblem};
+use geomap_core::{
+    cost, AllowedSites, ConstraintVector, GeoMapperMulti, Mapper, MappingProblem, Metrics,
+};
 use geonet::presets::MultiCloud;
 use geonet::SiteId;
 
@@ -42,7 +44,7 @@ fn improvement_table(title: &str, file: &str, network: &geonet::SiteNetwork, ctx
                 .collect::<Vec<_>>(),
         );
         let mut row = Vec::new();
-        for mapper in paper_mappers(ctx.seed) {
+        for mapper in paper_mappers(ctx.seed, &Metrics::off()) {
             let imp = improvement_pct(base, cost(&problem, &mapper.map(&problem)));
             row.push(imp);
         }

@@ -13,9 +13,9 @@
 
 use crate::setup::app_problem;
 use crate::util::{improvement_pct, mean, std_error, Csv, ExpContext};
-use baselines::{paper_mappers_instrumented, RandomMapper};
+use baselines::{paper_mappers, RandomMapper};
 use commgraph::apps::AppKind;
-use geomap_core::{Mapper, MappingProblem, Metrics, Trace};
+use geomap_core::{Mapper, MappingProblem, Metrics};
 use mpirt::RunConfig;
 
 /// Measured improvements of one app: `(name, greedy, mpipp, geo)` in %.
@@ -30,7 +30,7 @@ pub struct AppRow {
 
 /// Execute one mapping and report the makespan. When `metrics` is
 /// enabled the run's full telemetry (per-link traffic, per-rank
-/// breakdowns) is exported through it; when `trace` is enabled the
+/// breakdowns) is exported through it; when its trace is enabled the
 /// replay records per-rank intervals and per-link message lifecycles.
 fn makespan(
     problem: &MappingProblem,
@@ -38,15 +38,14 @@ fn makespan(
     cfg: &RunConfig,
     app: AppKind,
     metrics: &Metrics,
-    trace: &Trace,
 ) -> f64 {
     let workload = app.workload(problem.num_processes());
-    let result = mpirt::execute_workload_traced(
+    let result = mpirt::execute_workload(
         workload.as_ref(),
         problem.network(),
         mapping.as_slice(),
         cfg,
-        trace,
+        metrics.trace(),
     );
     result.emit_metrics(metrics);
     result.makespan
@@ -70,27 +69,17 @@ pub fn improvements(ctx: &ExpContext, cfg: &RunConfig, label: &str) -> Vec<AppRo
                     let m = RandomMapper::with_seed(ctx.seed.wrapping_add(i as u64)).map(&problem);
                     // Baseline replays stay untraced: ten random runs per
                     // app would drown the optimized timelines.
-                    makespan(&problem, &m, cfg, app, &Metrics::off(), &Trace::off())
+                    makespan(&problem, &m, cfg, app, &Metrics::off())
                 })
                 .collect();
             let base = mean(&baselines);
             app_metrics.gauge("baseline_makespan_s", base);
             let mut improvements = [0.0; 3];
-            for (slot, mapper) in paper_mappers_instrumented(ctx.seed, &app_metrics, &ctx.trace)
-                .iter()
-                .enumerate()
-            {
+            for (slot, mapper) in paper_mappers(ctx.seed, &app_metrics).iter().enumerate() {
                 let m = mapper.map(&problem);
                 m.validate(&problem).unwrap();
                 let per_mapper = app_metrics.scoped(mapper.name());
-                let t = makespan(
-                    &problem,
-                    &m,
-                    cfg,
-                    app,
-                    &per_mapper.scoped("runtime"),
-                    &ctx.trace,
-                );
+                let t = makespan(&problem, &m, cfg, app, &per_mapper.scoped("runtime"));
                 improvements[slot] = improvement_pct(base, t);
                 per_mapper.gauge("improvement_pct", improvements[slot]);
             }
@@ -242,10 +231,11 @@ mod tests {
         let ctx = ExpContext::smoke();
         for &app in commgraph::apps::AppKind::ALL.iter() {
             let problem = app_problem(app, ctx.scaled(16, 4), 0.2, ctx.seed);
-            let costs: Vec<(&'static str, f64)> = baselines::paper_mappers(ctx.seed)
-                .iter()
-                .map(|m| (m.name(), cost(&problem, &m.map(&problem))))
-                .collect();
+            let costs: Vec<(&'static str, f64)> =
+                baselines::paper_mappers(ctx.seed, &Metrics::off())
+                    .iter()
+                    .map(|m| (m.name(), cost(&problem, &m.map(&problem))))
+                    .collect();
             let geo = costs
                 .iter()
                 .find(|(n, _)| *n == "Geo-distributed")

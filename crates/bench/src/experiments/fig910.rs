@@ -14,7 +14,7 @@
 
 use crate::setup::app_problem;
 use crate::util::{Csv, ExpContext};
-use baselines::{paper_mappers_instrumented, MonteCarlo};
+use baselines::{paper_mappers, MonteCarlo};
 use commgraph::apps::AppKind;
 use geomap_core::{cost, GeoMapper, Mapper};
 
@@ -52,29 +52,28 @@ pub fn run_fig9(ctx: &ExpContext) {
         let mut marker_points: Vec<(&str, f64)> = Vec::new();
         let app_metrics = ctx.metrics.scoped("fig9").scoped(app.name());
         let mut geo_mapping = None;
-        let algos: Vec<(&str, f64)> =
-            paper_mappers_instrumented(ctx.seed, &app_metrics, &ctx.trace)
-                .iter()
-                .map(|mapper| {
-                    let m = mapper.map(&problem);
-                    let c = cost(&problem, &m);
-                    if mapper.name() == "Geo-distributed" {
-                        geo_mapping = Some(m);
-                    }
-                    (mapper.name(), c)
-                })
-                .collect();
+        let algos: Vec<(&str, f64)> = paper_mappers(ctx.seed, &app_metrics)
+            .iter()
+            .map(|mapper| {
+                let m = mapper.map(&problem);
+                let c = cost(&problem, &m);
+                if mapper.name() == "Geo-distributed" {
+                    geo_mapping = Some(m);
+                }
+                (mapper.name(), c)
+            })
+            .collect();
         // With tracing on, replay the winning mapping through the
         // simulated runtime so the trace shows all three layers: search
         // trajectories, mpirt rank intervals, simnet message timelines.
-        if ctx.trace.enabled() {
+        if ctx.metrics.trace().enabled() {
             let workload = app.workload(problem.num_processes());
-            let result = mpirt::execute_workload_traced(
+            let result = mpirt::execute_workload(
                 workload.as_ref(),
                 problem.network(),
                 geo_mapping.as_ref().expect("Geo mapper ran").as_slice(),
                 &mpirt::RunConfig::comm_only(),
-                &ctx.trace,
+                ctx.metrics.trace(),
             );
             println!(
                 "  traced replay of Geo-distributed mapping: makespan {:.4}s",

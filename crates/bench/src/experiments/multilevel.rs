@@ -18,7 +18,7 @@
 use crate::util::{fmt_secs, timed, Csv, ExpContext};
 use commgraph::apps::{ClusteredGraph, Workload};
 use geomap_core::{
-    cost, GeoMapper, Mapper, MappingProblem, Metrics, MultilevelConfig, MultilevelMapper, Trace,
+    cost, GeoMapper, Mapper, MappingProblem, Metrics, MultilevelConfig, MultilevelMapper,
 };
 use geonet::presets;
 
@@ -77,7 +77,6 @@ pub fn run_scale(
     config: MultilevelConfig,
     direct_limit: usize,
     metrics: &Metrics,
-    trace: &Trace,
 ) -> ScaleRun {
     let problem = problem_at(n, seed);
     let inner = GeoMapper {
@@ -87,7 +86,6 @@ pub fn run_scale(
     let ml = MultilevelMapper {
         config,
         metrics: metrics.clone(),
-        trace: trace.clone(),
         inner: inner.clone(),
     };
     let (mapping, t) = timed(|| ml.map(&problem));
@@ -138,7 +136,7 @@ pub fn run(ctx: &ExpContext) {
     );
     let exp_metrics = ctx.metrics.scoped("multilevel_exp");
     for n in sweep {
-        let r = run_scale(n, ctx.seed, config, direct_limit, &ctx.metrics, &ctx.trace);
+        let r = run_scale(n, ctx.seed, config, direct_limit, &ctx.metrics);
         exp_metrics.timing(&format!("solve.{n}"), r.ml_time_s);
         println!(
             "{:>8} {:>12} {:>16.6} {:>12} {:>16} {:>8}",
@@ -182,7 +180,6 @@ mod tests {
             },
             QUICK_SWEEP[0],
             &Metrics::off(),
-            &Trace::off(),
         );
         let ratio = r.ratio().expect("direct ran at the quick scale");
         assert!(ratio <= 1.05, "cost ratio {ratio} above the 5% band");

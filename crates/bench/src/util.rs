@@ -1,6 +1,6 @@
 //! Shared harness utilities: experiment context, CSV output, metrics.
 
-use geomap_core::{Metrics, Trace};
+use geomap_core::Metrics;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -15,14 +15,11 @@ pub struct ExpContext {
     /// Output directory for CSV artifacts (`None` = don't write).
     pub out_dir: Option<PathBuf>,
     /// Observability handle; experiments scope it per figure/app/mapper
-    /// and thread it into the mappers and the simulated runtime.
-    /// Disabled by default (`repro --metrics <path>` turns it on).
+    /// and thread it into the mappers and the simulated runtime, so one
+    /// run yields a metrics stream and a Perfetto-loadable timeline.
+    /// Disabled by default (`repro --metrics <path>` turns the sink on,
+    /// `repro --trace <path>` attaches a trace).
     pub metrics: Metrics,
-    /// Event-level trace handle; experiments thread it into the mappers
-    /// and the simulated runtime so one run yields a Perfetto-loadable
-    /// timeline. Disabled by default (`repro --trace <path>` turns it
-    /// on).
-    pub trace: Trace,
 }
 
 impl Default for ExpContext {
@@ -32,7 +29,6 @@ impl Default for ExpContext {
             seed: 0x5C17,
             out_dir: Some(default_results_dir()),
             metrics: Metrics::off(),
-            trace: Trace::off(),
         }
     }
 }
@@ -45,7 +41,6 @@ impl ExpContext {
             seed: 0x5C17,
             out_dir: None,
             metrics: Metrics::off(),
-            trace: Trace::off(),
         }
     }
 

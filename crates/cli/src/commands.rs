@@ -4,12 +4,11 @@
 
 use crate::args::Args;
 use crate::files;
-use baselines::{GreedyMapper, MonteCarlo, MpippMapper, RandomMapper};
+use baselines::MapperSpec;
 use commgraph::apps::AppKind;
 use commgraph::CommPattern;
 use geomap_core::{
-    cost, ConstraintVector, GeoMapper, Mapper, MappingProblem, MultilevelConfig, MultilevelMapper,
-    Trace,
+    cost, ConstraintVector, Mapper, MappingProblem, Metrics, MultilevelConfig, Trace,
 };
 use geonet::presets::MultiCloud;
 use geonet::{io as netio, CalibrationConfig, Calibrator, InstanceType, SiteNetwork};
@@ -145,61 +144,30 @@ fn load_problem(args: &Args) -> Result<MappingProblem, String> {
     Ok(MappingProblem::new(pattern, net, constraints))
 }
 
-/// Construct the `--algorithm` mapper with `trace` wired into it
-/// (pass [`Trace::off`] for an untraced run).
-fn mapper_from(args: &Args, seed: u64, trace: &Trace) -> Result<Box<dyn Mapper>, String> {
-    let algorithm = args.optional("algorithm").unwrap_or("geo");
-    Ok(match algorithm {
-        "geo" => Box::new(GeoMapper {
-            seed,
-            kappa: args.parsed_or("kappa", 4)?,
-            trace: trace.clone(),
-            ..GeoMapper::default()
-        }),
-        "greedy" => Box::new(GreedyMapper {
-            trace: trace.clone(),
-            ..GreedyMapper::default()
-        }),
-        "mpipp" => Box::new(MpippMapper {
-            trace: trace.clone(),
-            ..MpippMapper::with_seed(seed)
-        }),
-        "random" => Box::new(RandomMapper::with_seed(seed)),
-        "montecarlo" => Box::new(MonteCarlo {
-            trace: trace.clone(),
-            ..MonteCarlo::new(args.parsed_or("samples", 10_000)?, seed)
-        }),
-        "multilevel" => {
-            let defaults = MultilevelConfig::default();
-            Box::new(MultilevelMapper {
-                config: MultilevelConfig {
-                    coarsen_cutoff: args.parsed_or("ml-cutoff", defaults.coarsen_cutoff)?,
-                    match_rounds: args.parsed_or("ml-rounds", defaults.match_rounds)?,
-                    refine_passes: args.parsed_or("ml-passes", defaults.refine_passes)?,
-                },
-                inner: GeoMapper {
-                    seed,
-                    kappa: args.parsed_or("kappa", 4)?,
-                    trace: trace.clone(),
-                    ..GeoMapper::default()
-                },
-                trace: trace.clone(),
-                ..MultilevelMapper::default()
-            })
-        }
-        other => {
-            return Err(format!(
-                "unknown algorithm {other:?} (geo|greedy|mpipp|random|montecarlo|multilevel)"
-            ))
-        }
-    })
+/// Construct the `--algorithm` mapper on `metrics` (pass
+/// [`Metrics::off`] for an uninstrumented run). Every mapper flag is
+/// parsed, whichever algorithm reads it.
+fn mapper_from(args: &Args, seed: u64, metrics: Metrics) -> Result<Box<dyn Mapper + Sync>, String> {
+    let defaults = MultilevelConfig::default();
+    let spec = MapperSpec {
+        seed,
+        kappa: args.parsed_or("kappa", 4)?,
+        samples: args.parsed_or("samples", 10_000)?,
+        multilevel: MultilevelConfig {
+            coarsen_cutoff: args.parsed_or("ml-cutoff", defaults.coarsen_cutoff)?,
+            match_rounds: args.parsed_or("ml-rounds", defaults.match_rounds)?,
+            refine_passes: args.parsed_or("ml-passes", defaults.refine_passes)?,
+        },
+        metrics,
+    };
+    baselines::mapper_for(args.optional("algorithm").unwrap_or("geo"), &spec)
 }
 
 /// `geomap map` — compute a mapping.
 pub fn map(args: &Args) -> Result<String, String> {
     let problem = load_problem(args)?;
     let seed: u64 = args.parsed_or("seed", 0x5C17)?;
-    let mapper = mapper_from(args, seed, &Trace::off())?;
+    let mapper = mapper_from(args, seed, Metrics::off())?;
     let start = std::time::Instant::now();
     let mapping = mapper.map(&problem);
     let elapsed = start.elapsed();
@@ -232,7 +200,7 @@ pub fn trace(args: &Args) -> Result<String, String> {
     let capacity: usize = args.parsed_or("events", 1 << 20)?;
     let sink = Arc::new(RingBufferSink::new(capacity));
     let trace = Trace::new(sink.clone());
-    let mapper = mapper_from(args, seed, &trace)?;
+    let mapper = mapper_from(args, seed, Metrics::off().with_trace(trace.clone()))?;
     let mapping = mapper.map(&problem);
     mapping
         .validate(&problem)
@@ -247,7 +215,7 @@ pub fn trace(args: &Args) -> Result<String, String> {
     if let Some(app_name) = args.optional("app") {
         let app = AppKind::parse(app_name).ok_or_else(|| format!("unknown app {app_name:?}"))?;
         let workload = app.workload(problem.num_processes());
-        let r = mpirt::execute_workload_traced(
+        let r = mpirt::execute_workload(
             workload.as_ref(),
             problem.network(),
             mapping.as_slice(),
@@ -303,6 +271,7 @@ pub fn evaluate(args: &Args) -> Result<String, String> {
             problem.network(),
             mapping.as_slice(),
             &mpirt::RunConfig::default(),
+            &Trace::off(),
         );
         out.push_str(&format!(
             "simulated makespan ({app}): {:.3}s, WAN traffic fraction {:.1}%\n",
@@ -385,6 +354,24 @@ mod tests {
         )))
         .unwrap();
         assert!(out.contains("process,site"), "{out}");
+    }
+
+    /// The CLI and the daemon share one factory, so an unknown name
+    /// gets the same one-line message from both.
+    #[test]
+    fn unknown_algorithm_gets_the_exact_factory_message() {
+        let net_path = tmp("net-quantum.csv");
+        let pat_path = tmp("pat-quantum.csv");
+        network(&argv(&format!("--provider ec2 --nodes 2 --out {net_path}"))).unwrap();
+        profile(&argv(&format!("--app dnn --ranks 8 --out {pat_path}"))).unwrap();
+        let e = map(&argv(&format!(
+            "--network {net_path} --pattern {pat_path} --algorithm quantum"
+        )))
+        .unwrap_err();
+        assert_eq!(
+            e,
+            "unknown algorithm \"quantum\" (geo|greedy|mpipp|random|montecarlo|multilevel)"
+        );
     }
 
     #[test]

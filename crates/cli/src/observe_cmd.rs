@@ -18,7 +18,7 @@
 
 use crate::args::Args;
 use crate::files;
-use geomap_core::{RingBufferSink, Trace};
+use geomap_core::{Metrics, RingBufferSink, Trace};
 use geomap_service::federation::merge_stats;
 use geomap_service::hist::{bucket_bound, HistKind};
 use geomap_service::proto::{Response, StatsResponse, TraceDumpResponse, WireTraceEvent};
@@ -204,7 +204,7 @@ pub fn observe(args: &Args) -> Result<String, String> {
         let network = netio::from_csv(&network_csv)?;
         let ring = Arc::new(RingBufferSink::new(ring_cap));
         let config = ServiceConfig {
-            trace: Trace::new(ring.clone()),
+            metrics: Metrics::off().with_trace(Trace::new(ring.clone())),
             trace_ring: Some(ring),
             workers: 2,
             ..ServiceConfig::default()

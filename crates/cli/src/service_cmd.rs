@@ -92,8 +92,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
             })
             .transpose()?
             .map(Duration::from_millis),
-        metrics,
-        trace,
+        metrics: metrics.with_trace(trace),
         trace_ring,
         record_hists: defaults.record_hists,
         clock: defaults.clock,

@@ -911,7 +911,9 @@ const TIE_BAND_REL: f64 = 1e-12;
 
 /// Best improving swap among `movable` processes, strictly below
 /// `threshold`: the lexicographically first pair whose Δ lies within a
-/// noise band of the minimum Δ.
+/// noise band of the minimum Δ. Also returns the number of candidate Δ
+/// evaluations performed (min scan + tie-band re-scan) — the
+/// `swaps_evaluated` feed of [`SearchStats`].
 ///
 /// The band makes the selection invariant to which [`CostEval`]
 /// implementation computed the deltas — incremental and full-recompute
@@ -922,17 +924,6 @@ const TIE_BAND_REL: f64 = 1e-12;
 /// rayon when the row count is worth it; the reduction is
 /// schedule-independent, so the result is deterministic either way.
 pub fn best_improving_swap(
-    eval: &dyn CostEval,
-    movable: &[usize],
-    threshold: f64,
-) -> Option<(usize, usize, f64)> {
-    best_improving_swap_counted(eval, movable, threshold).0
-}
-
-/// [`best_improving_swap`] plus the number of candidate Δ evaluations it
-/// performed (min scan + tie-band re-scan) — the `swaps_evaluated`
-/// feed of [`SearchStats`].
-pub fn best_improving_swap_counted(
     eval: &dyn CostEval,
     movable: &[usize],
     threshold: f64,
@@ -990,37 +981,16 @@ pub fn best_improving_swap_counted(
 /// sweeps; full-pair below [`FULL_PAIR_LIMIT`] processes, partner-edge
 /// above. `movable(i)` gates which processes may move and
 /// `permits(i, s)` whether `i` may sit on site `s` (multi-site
-/// constraints). Returns the number of applied swaps.
+/// constraints). Returns the [`SearchStats`] of the climb (passes run,
+/// candidates evaluated vs. accepted; `terms` is left for the caller,
+/// who owns the evaluator).
+///
+/// `scope` gets one `pass` span per sweep and one `swap` instant per
+/// accepted swap, timestamped with wall-clock time — the search
+/// trajectory a Perfetto view of the run shows. With
+/// [`TraceScope::off`] every trace call is a `None` check and no clock
+/// is read, so the climb runs the same instructions either way.
 pub fn sweep_hill_climb(
-    eval: &mut dyn CostEval,
-    passes: usize,
-    movable: &dyn Fn(usize) -> bool,
-    permits: &dyn Fn(usize, SiteId) -> bool,
-) -> usize {
-    sweep_hill_climb_stats(eval, passes, movable, permits).swaps_accepted as usize
-}
-
-/// [`sweep_hill_climb`] returning the full [`SearchStats`] of the climb
-/// (passes run, candidates evaluated vs. accepted; `terms` is left for
-/// the caller, who owns the evaluator). The counters are plain local
-/// integer adds, so this *is* the hill-climb — the statless entry point
-/// is a wrapper.
-pub fn sweep_hill_climb_stats(
-    eval: &mut dyn CostEval,
-    passes: usize,
-    movable: &dyn Fn(usize) -> bool,
-    permits: &dyn Fn(usize, SiteId) -> bool,
-) -> SearchStats {
-    sweep_hill_climb_traced(eval, passes, movable, permits, TraceScope::off())
-}
-
-/// [`sweep_hill_climb_stats`] with event-level tracing: one `pass` span
-/// per sweep and one `swap` instant per accepted swap on `scope`'s
-/// track, timestamped with wall-clock time — the search trajectory a
-/// Perfetto view of the run shows. A disabled scope makes this exactly
-/// [`sweep_hill_climb_stats`]: every trace call is a `None` check and no
-/// clock is read.
-pub fn sweep_hill_climb_traced(
     eval: &mut dyn CostEval,
     passes: usize,
     movable: &dyn Fn(usize) -> bool,
@@ -1085,105 +1055,13 @@ fn try_swap(
     false
 }
 
-/// Polish `mapping` in place with a swap hill-climb over fresh tables —
-/// the convenience entry point for mappers that don't hold tables
-/// themselves (Monte-Carlo polish, ad-hoc callers).
+/// Polish `mapping` in place with a swap hill-climb over prebuilt
+/// `tables` (the geo mappers build tables once per `map()` and share
+/// them across all candidate orders). `stats.terms` is
+/// [`CostEval::terms`] of the evaluator after the climb (construction
+/// included), so it is exactly the work metric Fig. 4 compares. See
+/// [`sweep_hill_climb`] for `movable`, `permits` and `scope`.
 pub fn polish(
-    problem: &MappingProblem,
-    mapping: &mut Mapping,
-    passes: usize,
-    model: CostModel,
-    evaluation: Evaluation,
-    movable: &dyn Fn(usize) -> bool,
-) -> usize {
-    polish_stats(problem, mapping, passes, model, evaluation, movable).swaps_accepted as usize
-}
-
-/// [`polish`] returning the full [`SearchStats`] (including the
-/// evaluator's term count).
-pub fn polish_stats(
-    problem: &MappingProblem,
-    mapping: &mut Mapping,
-    passes: usize,
-    model: CostModel,
-    evaluation: Evaluation,
-    movable: &dyn Fn(usize) -> bool,
-) -> SearchStats {
-    polish_stats_traced(
-        problem,
-        mapping,
-        passes,
-        model,
-        evaluation,
-        movable,
-        TraceScope::off(),
-    )
-}
-
-/// [`polish_stats`] with event-level tracing on `scope` (see
-/// [`sweep_hill_climb_traced`]).
-pub fn polish_stats_traced(
-    problem: &MappingProblem,
-    mapping: &mut Mapping,
-    passes: usize,
-    model: CostModel,
-    evaluation: Evaluation,
-    movable: &dyn Fn(usize) -> bool,
-    scope: TraceScope<'_>,
-) -> SearchStats {
-    let tables = CostTables::build(problem, model);
-    polish_with_tables_traced(
-        &tables,
-        evaluation,
-        mapping,
-        passes,
-        movable,
-        &|_, _| true,
-        scope,
-    )
-}
-
-/// Polish `mapping` in place over prebuilt `tables` (the geo mappers
-/// build tables once per `map()` and share them across all candidate
-/// orders).
-pub fn polish_with_tables(
-    tables: &CostTables,
-    evaluation: Evaluation,
-    mapping: &mut Mapping,
-    passes: usize,
-    movable: &dyn Fn(usize) -> bool,
-    permits: &dyn Fn(usize, SiteId) -> bool,
-) -> usize {
-    polish_with_tables_stats(tables, evaluation, mapping, passes, movable, permits).swaps_accepted
-        as usize
-}
-
-/// [`polish_with_tables`] returning the full [`SearchStats`];
-/// `stats.terms` is [`CostEval::terms`] of the evaluator after the climb
-/// (construction included), so it is exactly the work metric Fig. 4
-/// compares.
-pub fn polish_with_tables_stats(
-    tables: &CostTables,
-    evaluation: Evaluation,
-    mapping: &mut Mapping,
-    passes: usize,
-    movable: &dyn Fn(usize) -> bool,
-    permits: &dyn Fn(usize, SiteId) -> bool,
-) -> SearchStats {
-    polish_with_tables_traced(
-        tables,
-        evaluation,
-        mapping,
-        passes,
-        movable,
-        permits,
-        TraceScope::off(),
-    )
-}
-
-/// [`polish_with_tables_stats`] with event-level tracing on `scope`
-/// (see [`sweep_hill_climb_traced`]).
-pub fn polish_with_tables_traced(
     tables: &CostTables,
     evaluation: Evaluation,
     mapping: &mut Mapping,
@@ -1193,7 +1071,7 @@ pub fn polish_with_tables_traced(
     scope: TraceScope<'_>,
 ) -> SearchStats {
     let mut eval = evaluation.evaluator(tables, mapping.as_slice().to_vec());
-    let mut stats = sweep_hill_climb_traced(eval.as_mut(), passes, movable, permits, scope);
+    let mut stats = sweep_hill_climb(eval.as_mut(), passes, movable, permits, scope);
     stats.terms = eval.terms();
     if stats.swaps_accepted > 0 {
         *mapping = Mapping::new(eval.sites().to_vec());
@@ -1290,7 +1168,7 @@ mod tests {
         let sites = vec![SiteId(0)];
         assert_eq!(t.total(&sites), 0.0);
         let eval = Evaluation::Incremental.evaluator(&t, sites);
-        assert_eq!(best_improving_swap(eval.as_ref(), &[0], -1e-12), None);
+        assert_eq!(best_improving_swap(eval.as_ref(), &[0], -1e-12).0, None);
 
         // All ranks pinned: nothing movable, polish is a no-op.
         let p = problem(8, 11);
@@ -1301,13 +1179,14 @@ mod tests {
         let start: Vec<SiteId> = (0..8).map(|i| SiteId(i % pinned.num_sites())).collect();
         let mut mapping = Mapping::new(start.clone());
         let pins_of = pinned.constraints().clone();
-        polish_with_tables(
+        polish(
             &t,
             Evaluation::Incremental,
             &mut mapping,
             4,
             &|i| pins_of.pin_of(i).is_none(),
             &|_, _| true,
+            TraceScope::off(),
         );
         assert_eq!(mapping.as_slice(), start.as_slice());
 
@@ -1501,19 +1380,20 @@ mod tests {
         let p = problem(32, 13);
         let mut m = Mapping::new(round_robin(32, p.num_sites()));
         let before = cost(&p, &m);
-        let applied = polish(
-            &p,
+        let t = CostTables::build(&p, CostModel::Full);
+        let stats = polish(
+            &t,
+            Evaluation::Incremental,
             &mut m,
             50,
-            CostModel::Full,
-            Evaluation::Incremental,
             &|_| true,
+            &|_, _| true,
+            TraceScope::off(),
         );
         let after = cost(&p, &m);
-        assert!(applied > 0, "round-robin should be improvable");
+        assert!(stats.swaps_accepted > 0, "round-robin should be improvable");
         assert!(after < before);
         // No improving swap may remain at the shared threshold.
-        let t = CostTables::build(&p, CostModel::Full);
         let eval = CostEvaluator::new(&t, m.as_slice().to_vec());
         for a in 0..32 {
             for b in (a + 1)..32 {
@@ -1561,7 +1441,7 @@ mod tests {
             expected.is_some(),
             "round-robin start should have an improving swap"
         );
-        let got = best_improving_swap(&eval, &movable, -1e-15);
+        let (got, _) = best_improving_swap(&eval, &movable, -1e-15);
         assert_eq!(got.map(|(a, b, _)| (a, b)), expected);
     }
 
@@ -1592,9 +1472,13 @@ mod tests {
         let t = CostTables::build(&p, CostModel::Full);
         let movable: Vec<usize> = (0..24).collect();
         let eval = CostEvaluator::new(&t, round_robin(24, p.num_sites()));
-        let plain = best_improving_swap(&eval, &movable, -1e-15);
-        let (counted, evaluated) = best_improving_swap_counted(&eval, &movable, -1e-15);
-        assert_eq!(plain, counted);
+        let (first, evaluated) = best_improving_swap(&eval, &movable, -1e-15);
+        let (again, recount) = best_improving_swap(&eval, &movable, -1e-15);
+        assert!(
+            first.is_some(),
+            "round-robin start should have an improving swap"
+        );
+        assert_eq!((first, evaluated), (again, recount));
         // One full scan visits all C(24,2) pairs; the tie-band re-scan
         // can only add.
         assert!(evaluated >= 24 * 23 / 2, "evaluated {evaluated}");
@@ -1604,13 +1488,14 @@ mod tests {
     fn search_stats_are_internally_consistent() {
         let p = problem(32, 23);
         let mut m = Mapping::new(round_robin(32, p.num_sites()));
-        let stats = polish_stats(
-            &p,
+        let stats = polish(
+            &CostTables::build(&p, CostModel::Full),
+            Evaluation::Incremental,
             &mut m,
             50,
-            CostModel::Full,
-            Evaluation::Incremental,
             &|_| true,
+            &|_, _| true,
+            TraceScope::off(),
         );
         assert!(stats.passes >= 1);
         assert!(stats.swaps_accepted > 0, "round-robin should improve");
@@ -1633,44 +1518,21 @@ mod tests {
         let t = CostTables::build(&p, CostModel::Full);
         let start = round_robin(24, p.num_sites());
         let mut m = Mapping::new(start.clone());
-        let stats = polish_with_tables_stats(
+        let stats = polish(
             &t,
             Evaluation::Incremental,
             &mut m,
             50,
             &|_| true,
             &|_, _| true,
+            TraceScope::off(),
         );
         let mut replay = CostEvaluator::new(&t, start);
-        let replay_stats = sweep_hill_climb_stats(&mut replay, 50, &|_| true, &|_, _| true);
+        let replay_stats =
+            sweep_hill_climb(&mut replay, 50, &|_| true, &|_, _| true, TraceScope::off());
         assert_eq!(stats.swaps_accepted, replay_stats.swaps_accepted);
         assert_eq!(stats.swaps_evaluated, replay_stats.swaps_evaluated);
         assert_eq!(stats.terms, replay.terms());
-    }
-
-    #[test]
-    fn stats_wrappers_agree_with_plain_entry_points() {
-        let p = problem(32, 31);
-        let mut plain = Mapping::new(round_robin(32, p.num_sites()));
-        let mut with_stats = plain.clone();
-        let applied = polish(
-            &p,
-            &mut plain,
-            50,
-            CostModel::Full,
-            Evaluation::Incremental,
-            &|_| true,
-        );
-        let stats = polish_stats(
-            &p,
-            &mut with_stats,
-            50,
-            CostModel::Full,
-            Evaluation::Incremental,
-            &|_| true,
-        );
-        assert_eq!(plain, with_stats, "wrapper changed the search");
-        assert_eq!(applied as u64, stats.swaps_accepted);
     }
 
     #[test]

@@ -24,12 +24,12 @@
 //! is set.
 
 use crate::cost::CostModel;
-use crate::delta::{polish_with_tables_traced, CostTables, Evaluation, SearchStats};
+use crate::delta::{polish, CostTables, Evaluation, SearchStats};
 use crate::grouping::group_sites;
 use crate::mapping::Mapping;
 use crate::metrics::Metrics;
 use crate::problem::MappingProblem;
-use crate::trace::{Trace, TraceScope, TrackId};
+use crate::trace::TraceScope;
 use crate::Mapper;
 use geonet::SiteId;
 use rand::rngs::StdRng;
@@ -102,18 +102,15 @@ pub struct GeoMapper {
     /// it is verified against (`tests/delta_equivalence.rs`).
     pub evaluation: Evaluation,
     /// Observability handle. [`Metrics::off`] (the default) keeps the
-    /// search free of any instrumentation cost; an enabled handle
+    /// search free of any instrumentation cost. An enabled sink
     /// receives phase timings (`phase.grouping` / `phase.order_search` /
     /// `phase.packing` / `phase.refinement`) and [`SearchStats`]
-    /// counters scoped under the mapper's name.
+    /// counters scoped under the mapper's name. An attached trace
+    /// records phase spans on a `"search"/"Geo-distributed"` track and,
+    /// per polished order, pass spans and accepted-swap instants on its
+    /// own `"Geo-distributed refine[k]"` track (one track per order
+    /// keeps span nesting valid under rayon).
     pub metrics: Metrics,
-    /// Event-level tracing handle. [`Trace::off`] (the default) adds no
-    /// instrumentation; an enabled handle records phase spans on a
-    /// `"search"/"Geo-distributed"` track and, per polished order, pass
-    /// spans and accepted-swap instants on its own
-    /// `"Geo-distributed refine[k]"` track (one track per order keeps
-    /// span nesting valid under rayon).
-    pub trace: Trace,
 }
 
 impl Default for GeoMapper {
@@ -128,7 +125,6 @@ impl Default for GeoMapper {
             refine: true,
             evaluation: Evaluation::Incremental,
             metrics: Metrics::off(),
-            trace: Trace::off(),
         }
     }
 }
@@ -373,18 +369,10 @@ impl Mapper for GeoMapper {
 
     fn map(&self, problem: &MappingProblem) -> Mapping {
         let metrics = self.metrics.scoped(self.name());
-        let trace = &self.trace;
-        let mapper_track = if trace.enabled() {
-            trace.track("search", self.name())
-        } else {
-            TrackId::DISABLED
-        };
-        let tscope = TraceScope::new(trace, mapper_track);
-        tscope.span_begin("grouping");
-        let groups = metrics.timed("phase.grouping", || {
+        let tscope = metrics.track("search", self.name());
+        let groups = metrics.phase(tscope, "grouping", "phase.grouping", || {
             group_sites(problem.network(), self.kappa, self.seed)
         });
-        tscope.span_end("grouping");
         let orders = self.orders(groups.len());
         metrics.counter("search.groups", groups.len() as u64);
         metrics.counter("search.orders_evaluated", orders.len() as u64);
@@ -413,7 +401,7 @@ impl Mapper for GeoMapper {
         // not wall) and only when metrics are on — the disabled path
         // never reads the clock.
         let packing_nanos = std::sync::atomic::AtomicU64::new(0);
-        let evaluate = |order: &Vec<usize>| {
+        let evaluate = |(idx, order): (usize, &Vec<usize>)| {
             let m = if metrics.enabled() {
                 let t0 = std::time::Instant::now();
                 let m = self.map_order(problem, &groups, order, &by_quantity);
@@ -425,40 +413,22 @@ impl Mapper for GeoMapper {
             } else {
                 self.map_order(problem, &groups, order, &by_quantity)
             };
-            let c = tables.total(m.as_slice());
-            (c, m)
+            (idx, tables.total(m.as_slice()), m)
         };
 
-        let search_t0 = metrics.enabled().then(std::time::Instant::now);
-        tscope.span_begin("order_search");
-        let mut ranked: Vec<(usize, f64, Mapping)> = if self.parallel {
-            orders
-                .par_iter()
-                .enumerate()
-                .map(|(idx, o)| {
-                    let (c, m) = evaluate(o);
-                    (idx, c, m)
-                })
-                .collect()
-        } else {
-            orders
-                .iter()
-                .enumerate()
-                .map(|(idx, o)| {
-                    let (c, m) = evaluate(o);
-                    (idx, c, m)
-                })
-                .collect()
-        };
-        ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        tscope.span_end("order_search");
-        if let Some(t0) = search_t0 {
-            metrics.timing("phase.order_search", t0.elapsed().as_secs_f64());
-            metrics.timing(
-                "phase.packing",
-                packing_nanos.load(std::sync::atomic::Ordering::Relaxed) as f64 * 1e-9,
-            );
-        }
+        let ranked = metrics.phase(tscope, "order_search", "phase.order_search", || {
+            let mut ranked: Vec<(usize, f64, Mapping)> = if self.parallel {
+                orders.par_iter().enumerate().map(evaluate).collect()
+            } else {
+                orders.iter().enumerate().map(evaluate).collect()
+            };
+            ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            ranked
+        });
+        metrics.timing(
+            "phase.packing",
+            packing_nanos.load(std::sync::atomic::Ordering::Relaxed) as f64 * 1e-9,
+        );
 
         if !self.refine {
             return ranked.into_iter().next().expect("at least one order").2;
@@ -467,19 +437,16 @@ impl Mapper for GeoMapper {
         // handful of good multi-start seeds at a fraction of the cost of
         // refining all κ! packings.
         let movable = |i: usize| constraints.pin_of(i).is_none();
-        let polish = |(idx, _, mut m): (usize, f64, Mapping)| {
+        let polish_order = |(idx, _, mut m): (usize, f64, Mapping)| {
             // One trace track per polished order: the polishes run under
             // rayon, and interleaved spans on a shared track would break
             // Chrome's begin/end pairing.
-            let scope = if trace.enabled() {
-                TraceScope::new(
-                    trace,
-                    trace.track("search", &format!("{} refine[{idx}]", self.name())),
-                )
+            let scope = if metrics.trace().enabled() {
+                metrics.track("search", &format!("{} refine[{idx}]", self.name()))
             } else {
                 TraceScope::off()
             };
-            let stats = polish_with_tables_traced(
+            let stats = polish(
                 &tables,
                 self.evaluation,
                 &mut m,
@@ -490,22 +457,19 @@ impl Mapper for GeoMapper {
             );
             (idx, tables.total(m.as_slice()), m, stats)
         };
-        let refine_t0 = metrics.enabled().then(std::time::Instant::now);
-        tscope.span_begin("refinement");
-        let top = ranked.into_iter().take(REFINE_TOP);
-        let polished: Vec<(usize, f64, Mapping, SearchStats)> = if self.parallel {
-            top.collect::<Vec<_>>()
-                .into_par_iter()
-                .map(polish)
-                .collect()
-        } else {
-            top.map(polish).collect()
-        };
-        tscope.span_end("refinement");
+        let polished: Vec<(usize, f64, Mapping, SearchStats)> =
+            metrics.phase(tscope, "refinement", "phase.refinement", || {
+                let top = ranked.into_iter().take(REFINE_TOP);
+                if self.parallel {
+                    top.collect::<Vec<_>>()
+                        .into_par_iter()
+                        .map(polish_order)
+                        .collect()
+                } else {
+                    top.map(polish_order).collect()
+                }
+            });
         if metrics.enabled() {
-            if let Some(t0) = refine_t0 {
-                metrics.timing("phase.refinement", t0.elapsed().as_secs_f64());
-            }
             // Each polished order is one multi-start of the hill-climb.
             let mut total = SearchStats {
                 restarts: polished.len() as u64,

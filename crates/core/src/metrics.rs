@@ -12,10 +12,12 @@
 //! * [`JsonLinesSink`] — appends one JSON object per record to a writer;
 //!   the `repro --metrics <path>` backend. JSON is hand-rolled (the
 //!   workspace's vendored `serde` is a marker-trait shim).
-//! * [`Metrics`] — the cheap handle threaded through mappers and the
-//!   pipeline. Disabled (`Metrics::off`, the `Default`) it is a `None`
-//!   check per call and takes no clock readings; every emission site is
-//!   gated on it.
+//! * [`Metrics`] — the one observation handle threaded through mappers,
+//!   the pipeline and the service. Disabled (`Metrics::off`, the
+//!   `Default`) it is a `None` check per call and takes no clock
+//!   readings; every emission site is gated on it. It also carries the
+//!   event-level [`Trace`] ([`Metrics::with_trace`], [`Metrics::trace`]),
+//!   so a mapper takes one handle for both "how much" and "why".
 //!
 //! The overhead contract: search hot loops never call the sink directly.
 //! Mappers aggregate counters in plain integers ([`crate::delta::SearchStats`])
@@ -23,6 +25,7 @@
 //! loop is identical instructions with metrics on or off (guarded by the
 //! `refine_pass` bench group in `geomap-bench`).
 
+use crate::trace::{Trace, TraceScope};
 use std::fmt;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -239,9 +242,15 @@ impl MetricsSink for JsonLinesSink {
 /// the clock, and cloning is free. An enabled handle carries an
 /// `Arc<dyn MetricsSink>` plus its scope path; [`Metrics::scoped`]
 /// derives child handles (`"fig5"` → `"fig5/LU"` → `"fig5/LU/MPIPP"`).
+///
+/// The handle also carries a [`Trace`], off unless attached with
+/// [`Metrics::with_trace`]. Records and events are independent: a
+/// handle may trace with its sink off, or the other way round, and
+/// [`Metrics::scoped`] keeps the attached trace either way.
 #[derive(Clone, Default)]
 pub struct Metrics {
     inner: Option<Arc<MetricsInner>>,
+    trace: Trace,
 }
 
 struct MetricsInner {
@@ -252,16 +261,20 @@ struct MetricsInner {
 impl fmt::Debug for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.inner {
-            Some(inner) => write!(f, "Metrics(on, scope={:?})", inner.scope),
-            None => f.write_str("Metrics(off)"),
+            Some(inner) => write!(f, "Metrics(on, scope={:?}", inner.scope)?,
+            None => f.write_str("Metrics(off")?,
         }
+        if self.trace.enabled() {
+            f.write_str(", traced")?;
+        }
+        f.write_str(")")
     }
 }
 
 impl Metrics {
     /// The disabled handle (same as `Default`).
     pub fn off() -> Self {
-        Self { inner: None }
+        Self::default()
     }
 
     /// An enabled handle with an empty scope.
@@ -271,7 +284,26 @@ impl Metrics {
                 sink,
                 scope: String::new(),
             })),
+            trace: Trace::off(),
         }
+    }
+
+    /// This handle with `trace` attached; events of every layer the
+    /// handle reaches go there.
+    pub fn with_trace(self, trace: Trace) -> Self {
+        Self { trace, ..self }
+    }
+
+    /// The attached trace ([`Trace::off`] unless one was attached).
+    #[inline]
+    pub fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
+    /// A scope on a new `process`/`name` track of the attached trace.
+    /// With tracing off this allocates nothing and records nothing.
+    pub fn track(&self, process: &str, name: &str) -> TraceScope<'_> {
+        TraceScope::new(&self.trace, self.trace.track(process, name))
     }
 
     /// Whether records go anywhere. Gate any non-trivial preparation
@@ -281,11 +313,11 @@ impl Metrics {
         self.inner.is_some()
     }
 
-    /// A child handle whose scope is `self`'s with `/segment` appended.
-    /// Disabled handles stay disabled for free.
+    /// A child handle whose scope is `self`'s with `/segment` appended
+    /// and the same trace. Disabled handles stay disabled for free.
     pub fn scoped(&self, segment: &str) -> Metrics {
         let Some(inner) = &self.inner else {
-            return Metrics::off();
+            return self.clone();
         };
         let scope = if inner.scope.is_empty() {
             segment.to_string()
@@ -297,6 +329,7 @@ impl Metrics {
                 sink: Arc::clone(&inner.sink),
                 scope,
             })),
+            trace: self.trace.clone(),
         }
     }
 
@@ -355,11 +388,29 @@ impl Metrics {
         }
     }
 
-    /// Flush the underlying sink.
+    /// Run `f` as one pipeline phase: a `span` on `scope`'s track and
+    /// a `name` timing, both bracketing the same closure. With both off
+    /// it runs `f` behind `None` checks alone.
+    #[inline]
+    pub fn phase<T>(
+        &self,
+        scope: TraceScope<'_>,
+        span: &'static str,
+        name: &str,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        scope.span_begin(span);
+        let out = self.timed(name, f);
+        scope.span_end(span);
+        out
+    }
+
+    /// Flush the underlying sink and the attached trace.
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
             inner.sink.flush();
         }
+        self.trace.flush();
     }
 }
 
@@ -400,6 +451,32 @@ mod tests {
         assert_eq!(snap.len(), 4);
         assert_eq!(snap[0].kind, MetricKind::Counter);
         assert_eq!(snap[3].kind, MetricKind::Timing);
+    }
+
+    #[test]
+    fn trace_rides_along_scopes_and_phases() {
+        use crate::trace::{RingBufferSink, TraceEventKind};
+        let ring = Arc::new(RingBufferSink::new(16));
+        let traced = Metrics::off().with_trace(Trace::new(ring.clone()));
+        let child = traced.scoped("a");
+        assert!(!child.enabled() && child.trace().enabled());
+        assert_eq!(format!("{child:?}"), "Metrics(off, traced)");
+
+        let sink = Arc::new(MemorySink::new());
+        let both = Metrics::new(sink.clone())
+            .with_trace(traced.trace().clone())
+            .scoped("geo");
+        let scope = both.track("search", "geo");
+        assert_eq!(both.phase(scope, "grouping", "phase.grouping", || 3), 3);
+        assert!(sink.has("geo", "phase.grouping"));
+        let events: Vec<_> = ring.snapshot().iter().map(|e| (e.name, e.kind)).collect();
+        assert_eq!(
+            events,
+            [
+                ("grouping", TraceEventKind::SpanBegin),
+                ("grouping", TraceEventKind::SpanEnd)
+            ]
+        );
     }
 
     #[test]

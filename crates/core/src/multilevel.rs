@@ -40,12 +40,12 @@ use rand::{RngExt, SeedableRng};
 
 use crate::constraint::ConstraintVector;
 use crate::cost::{pair_cost, CostModel};
-use crate::delta::{best_improving_swap_counted, sweep_hill_climb_traced, CostTables, Evaluation};
+use crate::delta::{best_improving_swap, sweep_hill_climb, CostTables, Evaluation};
 use crate::geo::GeoMapper;
 use crate::mapping::Mapping;
 use crate::metrics::Metrics;
 use crate::problem::MappingProblem;
-use crate::trace::{Trace, TraceScope};
+use crate::trace::TraceScope;
 use crate::Mapper;
 
 /// Accept a candidate only when its Δ clears this margin — mirrors the
@@ -633,7 +633,7 @@ fn refine_level(
                 let mut steps = class.len() * 2;
                 while steps > 0 {
                     let (best, _) =
-                        best_improving_swap_counted(eval.as_ref(), class, IMPROVEMENT_THRESHOLD);
+                        best_improving_swap(eval.as_ref(), class, IMPROVEMENT_THRESHOLD);
                     match best {
                         Some((a, b, _)) => {
                             eval.apply_swap(a, b);
@@ -646,8 +646,7 @@ fn refine_level(
                 }
             } else {
                 let movable = |i: usize| pins[i].is_none() && weights[i] == w;
-                let stats =
-                    sweep_hill_climb_traced(eval.as_mut(), 1, &movable, &|_, _| true, scope);
+                let stats = sweep_hill_climb(eval.as_mut(), 1, &movable, &|_, _| true, scope);
                 if stats.swaps_accepted > 0 {
                     improved = true;
                 }
@@ -701,14 +700,13 @@ pub struct MultilevelMapper {
     /// Direct solver for the coarsest graph. Its `seed` also drives the
     /// matching RNG (xored, so the two streams stay independent).
     pub inner: GeoMapper,
-    /// Metrics handle: phase timings (`phase.coarsen` /
+    /// Observability handle: phase timings (`phase.coarsen` /
     /// `phase.coarse_solve` / `phase.refine`) and per-level
-    /// `level.vertices` / `level.edges` counters, scoped `multilevel`.
-    pub metrics: Metrics,
-    /// Trace handle: `coarsen` / `coarse_solve` / `level` spans plus
+    /// `level.vertices` / `level.edges` counters, scoped `multilevel`;
+    /// its trace gets `coarsen` / `coarse_solve` / `level` spans plus
     /// accepted `swap` / `move` instants on a `"search"/"Multilevel"`
     /// track.
-    pub trace: Trace,
+    pub metrics: Metrics,
 }
 
 impl Default for MultilevelMapper {
@@ -717,7 +715,6 @@ impl Default for MultilevelMapper {
             config: MultilevelConfig::default(),
             inner: GeoMapper::default(),
             metrics: Metrics::off(),
-            trace: Trace::off(),
         }
     }
 }
@@ -736,14 +733,11 @@ impl Mapper for MultilevelMapper {
             return self.inner.map(problem);
         }
         let metrics = self.metrics.scoped("multilevel");
-        let track = self.trace.track("search", "Multilevel");
-        let scope = TraceScope::new(&self.trace, track);
+        let scope = metrics.track("search", "Multilevel");
 
-        scope.span_begin("coarsen");
-        let hierarchy = metrics.timed("phase.coarsen", || {
+        let hierarchy = metrics.phase(scope, "coarsen", "phase.coarsen", || {
             Hierarchy::coarsen(problem, &self.config, self.inner.seed ^ 0x5CA1_AB1E)
         });
-        scope.span_end("coarsen");
         metrics.counter("levels", hierarchy.num_levels() as u64);
         if hierarchy.num_levels() == 0 {
             // The graph refused to contract (e.g. no edges at all).
@@ -759,11 +753,9 @@ impl Mapper for MultilevelMapper {
         // for the next finer one.
         let mut solved: Option<(usize, Vec<SiteId>)> = None;
         for k in (0..hierarchy.num_levels()).rev() {
-            scope.span_begin("coarse_solve");
-            let attempt = metrics.timed("phase.coarse_solve", || {
+            let attempt = metrics.phase(scope, "coarse_solve", "phase.coarse_solve", || {
                 solve_coarse(problem, &hierarchy.levels[k], &self.inner)
             });
-            scope.span_end("coarse_solve");
             if let Some(sites) = attempt {
                 solved = Some((k, sites));
                 break;
@@ -798,11 +790,9 @@ impl Mapper for MultilevelMapper {
             cur = hierarchy.project(k, &cur);
             scope.span_end("level");
         }
-        scope.span_begin("level");
-        metrics.timed("phase.refine", || {
+        metrics.phase(scope, "level", "phase.refine", || {
             refine_level(problem, None, &mut cur, self.config.refine_passes, scope);
         });
-        scope.span_end("level");
 
         let mapping = Mapping::new(cur);
         debug_assert!(

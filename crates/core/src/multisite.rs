@@ -15,7 +15,7 @@
 //! and falls back to augmenting paths when a greedy placement would
 //! strand a process.
 
-use crate::delta::{polish_with_tables_traced, CostTables, SearchStats};
+use crate::delta::{polish, CostTables, SearchStats};
 use crate::geo::{GeoMapper, Seeding};
 use crate::grouping::group_sites;
 use crate::mapping::Mapping;
@@ -272,45 +272,32 @@ impl GeoMapperMulti {
         // polish the cheapest few (the order search doubles as a
         // multi-start for the hill-climb).
         let tables = CostTables::build(problem, self.base.cost_model);
-        let evaluate = |idx: usize, order: &Vec<usize>| {
+        let evaluate = |(idx, order): (usize, &Vec<usize>)| {
             let m = self.map_order(problem, &allowed, &groups, order, &by_quantity);
             let c = tables.total(m.as_slice());
             (idx, c, m)
         };
-        let search_t0 = metrics.enabled().then(std::time::Instant::now);
-        let mut ranked: Vec<(usize, f64, Mapping)> = if self.base.parallel {
-            orders
-                .par_iter()
-                .enumerate()
-                .map(|(i, o)| evaluate(i, o))
-                .collect()
-        } else {
-            orders
-                .iter()
-                .enumerate()
-                .map(|(i, o)| evaluate(i, o))
-                .collect()
-        };
-        ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        if let Some(t0) = search_t0 {
-            metrics.timing("phase.order_search", t0.elapsed().as_secs_f64());
-        }
+        let ranked = metrics.timed("phase.order_search", || {
+            let mut ranked: Vec<(usize, f64, Mapping)> = if self.base.parallel {
+                orders.par_iter().enumerate().map(evaluate).collect()
+            } else {
+                orders.iter().enumerate().map(evaluate).collect()
+            };
+            ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            ranked
+        });
         if !self.base.refine {
             return ranked.into_iter().next().expect("at least one order").2;
         }
-        let trace = &self.base.trace;
-        let polish = |(idx, _, mut m): (usize, f64, Mapping)| {
+        let polish_order = |(idx, _, mut m): (usize, f64, Mapping)| {
             let permits = |i: usize, s: SiteId| allowed.permits(i, s);
             // One track per polished order, as in GeoMapper::map.
-            let scope = if trace.enabled() {
-                crate::trace::TraceScope::new(
-                    trace,
-                    trace.track("search", &format!("Geo-multi refine[{idx}]")),
-                )
+            let scope = if metrics.trace().enabled() {
+                metrics.track("search", &format!("Geo-multi refine[{idx}]"))
             } else {
                 crate::trace::TraceScope::off()
             };
-            let stats = polish_with_tables_traced(
+            let stats = polish(
                 &tables,
                 self.base.evaluation,
                 &mut m,
@@ -321,20 +308,19 @@ impl GeoMapperMulti {
             );
             (idx, tables.total(m.as_slice()), m, stats)
         };
-        let refine_t0 = metrics.enabled().then(std::time::Instant::now);
-        let top = ranked.into_iter().take(crate::geo::REFINE_TOP);
-        let polished: Vec<(usize, f64, Mapping, SearchStats)> = if self.base.parallel {
-            top.collect::<Vec<_>>()
-                .into_par_iter()
-                .map(polish)
-                .collect()
-        } else {
-            top.map(polish).collect()
-        };
+        let polished: Vec<(usize, f64, Mapping, SearchStats)> =
+            metrics.timed("phase.refinement", || {
+                let top = ranked.into_iter().take(crate::geo::REFINE_TOP);
+                if self.base.parallel {
+                    top.collect::<Vec<_>>()
+                        .into_par_iter()
+                        .map(polish_order)
+                        .collect()
+                } else {
+                    top.map(polish_order).collect()
+                }
+            });
         if metrics.enabled() {
-            if let Some(t0) = refine_t0 {
-                metrics.timing("phase.refinement", t0.elapsed().as_secs_f64());
-            }
             let mut total = SearchStats {
                 restarts: polished.len() as u64,
                 ..SearchStats::default()

@@ -40,8 +40,8 @@ pub struct PipelineConfig {
     /// Observability handle for the pipeline phases. Phase timings are
     /// emitted under the scope `pipeline` (`phase.profiling`,
     /// `phase.calibration`, `phase.optimization`); a mapper whose own
-    /// handle is off inherits this one, so one enabled handle covers the
-    /// full Fig. 2 flow.
+    /// sink is off inherits this one (keeping its own trace), so one
+    /// enabled handle covers the full Fig. 2 flow.
     pub metrics: Metrics,
 }
 
@@ -133,12 +133,15 @@ pub fn run_with_pattern(
     });
 
     // 3 + 4. Grouping + mapping optimization on the *estimated* network.
-    // A mapper without its own metrics handle inherits the pipeline's,
-    // so grouping/order-search/packing/refinement timings land in the
-    // same sink.
+    // A mapper without its own metrics sink inherits the pipeline's, so
+    // grouping/order-search/packing/refinement timings land in the same
+    // sink; the mapper keeps its own trace.
     let geo = if metrics.enabled() && !config.mapper.metrics.enabled() {
         GeoMapper {
-            metrics: config.metrics.clone(),
+            metrics: config
+                .metrics
+                .clone()
+                .with_trace(config.mapper.metrics.trace().clone()),
             ..config.mapper.clone()
         }
     } else {
@@ -150,7 +153,6 @@ pub fn run_with_pattern(
         multilevel_holder = MultilevelMapper {
             config: ml,
             metrics: geo.metrics.clone(),
-            trace: geo.trace.clone(),
             inner: geo,
         };
         &multilevel_holder

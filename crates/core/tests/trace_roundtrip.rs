@@ -4,7 +4,10 @@
 //! non-decreasing timestamps — the shape Perfetto and `chrome://tracing`
 //! require — and instrumentation never changes algorithm results.
 
-use geomap_core::{GeoMapper, Mapper, MappingProblem, RingBufferSink, Trace, TraceEventKind};
+use geomap_core::{
+    GeoMapper, Mapper, MappingProblem, MemorySink, Metrics, MultilevelConfig, MultilevelMapper,
+    RingBufferSink, Trace, TraceEventKind,
+};
 use std::sync::Arc;
 
 /// A tiny hand-rolled reader for the subset of JSON the exporter emits:
@@ -116,6 +119,46 @@ fn capacity_bound_holds_and_drops_are_counted() {
     assert!(kept.iter().all(|e| e.kind == TraceEventKind::Instant));
 }
 
+/// The four settings of the one observation handle — off, metrics
+/// only, trace only, both — each with the ring it traces into.
+fn handle_settings() -> Vec<(&'static str, Metrics, Option<Arc<RingBufferSink>>)> {
+    let ring = || Arc::new(RingBufferSink::new(1 << 16));
+    let sink = || Metrics::new(Arc::new(MemorySink::new()));
+    let (traced, both) = (ring(), ring());
+    vec![
+        ("off", Metrics::off(), None),
+        ("metrics", sink(), None),
+        (
+            "trace",
+            Metrics::off().with_trace(Trace::new(traced.clone())),
+            Some(traced),
+        ),
+        (
+            "both",
+            sink().with_trace(Trace::new(both.clone())),
+            Some(both),
+        ),
+    ]
+}
+
+/// Every span opened on a track closes on it, in nesting order.
+fn assert_balanced(ring: &RingBufferSink, label: &str) {
+    assert_eq!(ring.dropped(), 0, "{label}: the ring overflowed");
+    let events = ring.snapshot();
+    for t in ring.tracks() {
+        let mut depth = 0i64;
+        for e in events.iter().filter(|e| e.track == t.id) {
+            match e.kind {
+                TraceEventKind::SpanBegin => depth += 1,
+                TraceEventKind::SpanEnd => depth -= 1,
+                _ => {}
+            }
+            assert!(depth >= 0, "{label}: E before B on {}", t.name);
+        }
+        assert_eq!(depth, 0, "{label}: unclosed span on {}", t.name);
+    }
+}
+
 #[test]
 fn tracing_is_bit_identical_at_the_mapper_level() {
     use commgraph::apps::AppKind;
@@ -123,34 +166,44 @@ fn tracing_is_bit_identical_at_the_mapper_level() {
     let net = presets::paper_ec2_network(8, InstanceType::M4Xlarge, 2);
     let problem = MappingProblem::unconstrained(AppKind::KMeans.workload(32).pattern(), net);
 
-    let plain = GeoMapper {
-        seed: 7,
-        ..GeoMapper::default()
+    // The core mappers: the direct solver and multilevel around it,
+    // coarsening for real (cutoff below N). The baselines crate runs
+    // the same matrix over every algorithm of its factory.
+    let build = |name: &str, metrics: Metrics| -> Box<dyn Mapper> {
+        let geo = GeoMapper {
+            seed: 7,
+            metrics: metrics.clone(),
+            ..GeoMapper::default()
+        };
+        match name {
+            "geo" => Box::new(geo),
+            _ => Box::new(MultilevelMapper {
+                config: MultilevelConfig {
+                    coarsen_cutoff: 8,
+                    ..MultilevelConfig::default()
+                },
+                inner: geo,
+                metrics,
+            }),
+        }
+    };
+    for name in ["geo", "multilevel"] {
+        let reference = build(name, Metrics::off()).map(&problem);
+        for (setting, metrics, ring) in handle_settings() {
+            let label = format!("{name} with {setting}");
+            assert_eq!(
+                build(name, metrics).map(&problem),
+                reference,
+                "{label}: instrumentation changed the mapping"
+            );
+            let Some(ring) = ring else { continue };
+            assert!(!ring.snapshot().is_empty(), "{label}: recorded nothing");
+            assert_balanced(&ring, &label);
+            // The exported JSON is already sorted, so a second export
+            // round-trip stays monotonic per track too.
+            let events = parse_chrome_json(&ring.to_chrome_json());
+            assert!(events.iter().any(|e| e.ph == "B"), "{label}");
+            assert!(events.iter().any(|e| e.ph == "E"), "{label}");
+        }
     }
-    .map(&problem);
-    let sink = Arc::new(RingBufferSink::new(1 << 16));
-    let traced = GeoMapper {
-        seed: 7,
-        trace: Trace::new(sink.clone()),
-        ..GeoMapper::default()
-    }
-    .map(&problem);
-    let off = GeoMapper {
-        seed: 7,
-        trace: Trace::off(),
-        ..GeoMapper::default()
-    }
-    .map(&problem);
-
-    assert_eq!(plain, traced, "recording events changed the mapping");
-    assert_eq!(plain, off, "the off handle changed the mapping");
-    assert!(
-        !sink.snapshot().is_empty(),
-        "the traced run recorded nothing"
-    );
-    // The exported JSON is already sorted, so a second export round-trip
-    // stays monotonic per track too.
-    let events = parse_chrome_json(&sink.to_chrome_json());
-    assert!(events.iter().any(|e| e.ph == "B"));
-    assert!(events.iter().any(|e| e.ph == "E"));
 }

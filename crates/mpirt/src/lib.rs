@@ -177,6 +177,7 @@ enum RankState {
 ///
 /// ```
 /// use commgraph::ProgramBuilder;
+/// use geomap_core::Trace;
 /// use geonet::{presets, InstanceType, SiteId};
 ///
 /// let net = presets::paper_ec2_network(2, InstanceType::M4Xlarge, 1);
@@ -184,31 +185,23 @@ enum RankState {
 /// b.transfer(0, 1, 1_000_000);
 /// // Rank 0 in us-east-1, rank 1 in Singapore: one WAN transfer.
 /// let result = mpirt::execute(
-///     &b.build(), &net, &[SiteId(0), SiteId(2)], &mpirt::RunConfig::default());
+///     &b.build(), &net, &[SiteId(0), SiteId(2)], &mpirt::RunConfig::default(), &Trace::off());
 /// assert!(result.makespan > 0.05); // dominated by the long-haul link
 /// ```
+///
+/// `trace` gets per-rank `compute` / `send` / `recv_wait` spans on one
+/// `"mpirt"` track per rank, plus the simnet link tracks (message
+/// lifecycle + queue depth) via [`simnet::LinkState::with_trace`]. All
+/// timestamps are *simulated* seconds. The schedule, makespan and
+/// statistics do not depend on `trace`; with [`Trace::off`] every event
+/// site is a `None` check (the `simnet_trace_off` bench group times
+/// that path).
 ///
 /// # Panics
 /// Panics if the assignment length differs from the rank count, if a
 /// site is out of range, or if the program deadlocks (blocked cycle with
 /// no messages in flight) — matched acyclic programs never do.
 pub fn execute(
-    program: &Program,
-    net: &SiteNetwork,
-    assignment: &[SiteId],
-    config: &RunConfig,
-) -> RunResult {
-    execute_traced(program, net, assignment, config, &Trace::off())
-}
-
-/// [`execute`] with event-level tracing: per-rank `compute` / `send` /
-/// `recv_wait` spans on one `"mpirt"` track per rank, plus the simnet
-/// link tracks (message lifecycle + queue depth) via
-/// [`simnet::LinkState::with_trace`]. All timestamps are *simulated*
-/// seconds. With `Trace::off()` this is exactly [`execute`] — the
-/// schedule, makespan and statistics are bit-identical (the
-/// `simnet_trace_off` bench group guards the overhead).
-pub fn execute_traced(
     program: &Program,
     net: &SiteNetwork,
     assignment: &[SiteId],
@@ -366,19 +359,9 @@ pub fn execute_workload(
     net: &SiteNetwork,
     assignment: &[SiteId],
     config: &RunConfig,
-) -> RunResult {
-    execute(&workload.program(), net, assignment, config)
-}
-
-/// [`execute_workload`] with event-level tracing (see [`execute_traced`]).
-pub fn execute_workload_traced(
-    workload: &dyn commgraph::apps::Workload,
-    net: &SiteNetwork,
-    assignment: &[SiteId],
-    config: &RunConfig,
     trace: &Trace,
 ) -> RunResult {
-    execute_traced(&workload.program(), net, assignment, config, trace)
+    execute(&workload.program(), net, assignment, config, trace)
 }
 
 #[cfg(test)]
@@ -407,7 +390,7 @@ mod tests {
             send_overhead: 0.0,
             ..RunConfig::default()
         };
-        let r = execute(&prog, &net, &assignment, &cfg);
+        let r = execute(&prog, &net, &assignment, &cfg, &Trace::off());
         let expect = net
             .alpha_beta(SiteId(0), SiteId(3))
             .transfer_time(1_000_000);
@@ -423,7 +406,13 @@ mod tests {
         let net = net();
         let mut b = ProgramBuilder::new(3);
         b.compute(0, 1.0).compute(1, 2.5).compute(2, 0.5);
-        let r = execute(&b.build(), &net, &all_in(0, 3), &RunConfig::default());
+        let r = execute(
+            &b.build(),
+            &net,
+            &all_in(0, 3),
+            &RunConfig::default(),
+            &Trace::off(),
+        );
         assert_eq!(r.makespan, 2.5);
         assert_eq!(r.rank_finish, vec![1.0, 2.5, 0.5]);
     }
@@ -434,12 +423,19 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         b.compute_all(10.0);
         b.transfer(0, 1, 1000);
-        let full = execute(&b.clone_build(), &net, &all_in(1, 2), &RunConfig::default());
+        let full = execute(
+            &b.clone_build(),
+            &net,
+            &all_in(1, 2),
+            &RunConfig::default(),
+            &Trace::off(),
+        );
         let comm = execute(
             &b.clone_build(),
             &net,
             &all_in(1, 2),
             &RunConfig::comm_only(),
+            &Trace::off(),
         );
         assert!(full.makespan > 10.0);
         assert!(comm.makespan < 0.1);
@@ -463,7 +459,13 @@ mod tests {
         b.compute(1, 5.0);
         b.send(1, 0, 1000);
         b.recv(0, 1);
-        let r = execute(&b.build(), &net, &all_in(2, 2), &RunConfig::default());
+        let r = execute(
+            &b.build(),
+            &net,
+            &all_in(2, 2),
+            &RunConfig::default(),
+            &Trace::off(),
+        );
         assert!(
             r.rank_finish[0] >= 5.0,
             "receiver finished at {}",
@@ -487,7 +489,7 @@ mod tests {
             send_overhead: 0.0,
             ..RunConfig::default()
         };
-        let r = execute(&b.build(), &net, &assignment, &cfg);
+        let r = execute(&b.build(), &net, &assignment, &cfg, &Trace::off());
         let hop = |a: usize, c: usize| net.alpha_beta(SiteId(a), SiteId(c)).transfer_time(1000);
         let expect = hop(0, 1) + hop(1, 2) + hop(2, 3);
         assert!((r.makespan - expect).abs() < 1e-9);
@@ -513,7 +515,13 @@ mod tests {
             },
             ..RunConfig::default()
         };
-        let r = execute(&b.build(), &net, &[SiteId(0), SiteId(3)], &cfg);
+        let r = execute(
+            &b.build(),
+            &net,
+            &[SiteId(0), SiteId(3)],
+            &cfg,
+            &Trace::off(),
+        );
         let big = net
             .alpha_beta(SiteId(0), SiteId(3))
             .transfer_time(8_000_000);
@@ -528,7 +536,8 @@ mod tests {
             let round_robin: Vec<SiteId> = (0..16).map(|i| SiteId(i % 4)).collect();
             let blocks: Vec<SiteId> = (0..16).map(|i| SiteId(i / 4)).collect();
             for a in [&round_robin, &blocks] {
-                let r = execute_workload(w.as_ref(), &net, a, &RunConfig::comm_only());
+                let r =
+                    execute_workload(w.as_ref(), &net, a, &RunConfig::comm_only(), &Trace::off());
                 assert!(r.makespan > 0.0, "{kind}");
                 assert!(r.stats.total_messages() > 0);
             }
@@ -543,8 +552,20 @@ mod tests {
         // almost every neighbour pair across sites.
         let blocks: Vec<SiteId> = (0..16).map(|i| SiteId(i / 4)).collect();
         let scatter: Vec<SiteId> = (0..16usize).map(|i| SiteId((i * 5 + 3) % 16 / 4)).collect();
-        let t_blocks = execute_workload(w.as_ref(), &net, &blocks, &RunConfig::comm_only());
-        let t_scatter = execute_workload(w.as_ref(), &net, &scatter, &RunConfig::comm_only());
+        let t_blocks = execute_workload(
+            w.as_ref(),
+            &net,
+            &blocks,
+            &RunConfig::comm_only(),
+            &Trace::off(),
+        );
+        let t_scatter = execute_workload(
+            w.as_ref(),
+            &net,
+            &scatter,
+            &RunConfig::comm_only(),
+            &Trace::off(),
+        );
         assert!(
             t_blocks.makespan < t_scatter.makespan,
             "blocks {} vs scatter {}",
@@ -559,8 +580,8 @@ mod tests {
         let net = net();
         let w = AppKind::KMeans.workload(16);
         let a: Vec<SiteId> = (0..16).map(|i| SiteId(i % 4)).collect();
-        let r1 = execute_workload(w.as_ref(), &net, &a, &RunConfig::default());
-        let r2 = execute_workload(w.as_ref(), &net, &a, &RunConfig::default());
+        let r1 = execute_workload(w.as_ref(), &net, &a, &RunConfig::default(), &Trace::off());
+        let r2 = execute_workload(w.as_ref(), &net, &a, &RunConfig::default(), &Trace::off());
         assert_eq!(r1.makespan, r2.makespan);
         assert_eq!(r1.rank_finish, r2.rank_finish);
     }
@@ -575,7 +596,13 @@ mod tests {
         b.recv(0, 1);
         b.recv(1, 0);
         let prog = b.build_unchecked();
-        execute(&prog, &net, &all_in(0, 2), &RunConfig::default());
+        execute(
+            &prog,
+            &net,
+            &all_in(0, 2),
+            &RunConfig::default(),
+            &Trace::off(),
+        );
     }
 
     #[test]
@@ -586,7 +613,7 @@ mod tests {
         let net = net();
         let w = AppKind::Lu.workload(16);
         let a: Vec<SiteId> = (0..16).map(|i| SiteId(i % 4)).collect();
-        let r = execute_workload(w.as_ref(), &net, &a, &RunConfig::default());
+        let r = execute_workload(w.as_ref(), &net, &a, &RunConfig::default(), &Trace::off());
 
         let sink = Arc::new(MemorySink::new());
         r.emit_metrics(&Metrics::new(sink.clone()).scoped("run"));
@@ -634,7 +661,7 @@ mod tests {
         b.send(1, 0, 1000);
         b.recv(0, 1);
         let cfg = RunConfig::default();
-        let r = execute(&b.build(), &net, &all_in(2, 2), &cfg);
+        let r = execute(&b.build(), &net, &all_in(2, 2), &cfg, &Trace::off());
         let bd = &r.rank_breakdown;
         assert_eq!(bd[1].compute_s, 5.0);
         assert_eq!(bd[1].send_s, cfg.send_overhead);
@@ -651,21 +678,28 @@ mod tests {
         b2.compute(1, 5.0);
         b2.send(1, 0, 1000);
         b2.recv(0, 1);
-        let rc = execute(&b2.build(), &net, &all_in(2, 2), &RunConfig::comm_only());
+        let rc = execute(
+            &b2.build(),
+            &net,
+            &all_in(2, 2),
+            &RunConfig::comm_only(),
+            &Trace::off(),
+        );
         assert_eq!(rc.rank_breakdown[1].compute_s, 0.0);
     }
 
     #[test]
     fn traced_run_is_bit_identical_to_plain() {
-        use geomap_core::{RingBufferSink, Trace};
+        use geomap_core::RingBufferSink;
         use std::sync::Arc;
         let net = net();
         for kind in [AppKind::Lu, AppKind::KMeans] {
             let w = kind.workload(16);
             let a: Vec<SiteId> = (0..16).map(|i| SiteId(i % 4)).collect();
-            let plain = execute_workload(w.as_ref(), &net, &a, &RunConfig::default());
+            let plain =
+                execute_workload(w.as_ref(), &net, &a, &RunConfig::default(), &Trace::off());
             let sink = Arc::new(RingBufferSink::new(1 << 16));
-            let traced = execute_workload_traced(
+            let traced = execute_workload(
                 w.as_ref(),
                 &net,
                 &a,
@@ -676,22 +710,18 @@ mod tests {
             assert_eq!(plain.rank_finish, traced.rank_finish, "{kind}");
             assert_eq!(plain.rank_breakdown, traced.rank_breakdown, "{kind}");
             assert!(!sink.snapshot().is_empty(), "{kind}: no events recorded");
-            // And an off handle records nothing.
-            let off =
-                execute_workload_traced(w.as_ref(), &net, &a, &RunConfig::default(), &Trace::off());
-            assert_eq!(plain.makespan, off.makespan);
         }
     }
 
     #[test]
     fn traced_run_covers_rank_and_link_tracks() {
-        use geomap_core::{RingBufferSink, Trace, TraceEventKind};
+        use geomap_core::{RingBufferSink, TraceEventKind};
         use std::sync::Arc;
         let net = net();
         let w = AppKind::Lu.workload(16);
         let a: Vec<SiteId> = (0..16).map(|i| SiteId(i % 4)).collect();
         let sink = Arc::new(RingBufferSink::new(1 << 16));
-        execute_workload_traced(
+        execute_workload(
             w.as_ref(),
             &net,
             &a,
@@ -741,7 +771,7 @@ mod tests {
         let net = net();
         let w = AppKind::KMeans.workload(16);
         let a: Vec<SiteId> = (0..16).map(|i| SiteId(i % 4)).collect();
-        let r = execute_workload(w.as_ref(), &net, &a, &RunConfig::default());
+        let r = execute_workload(w.as_ref(), &net, &a, &RunConfig::default(), &Trace::off());
         let sink = Arc::new(MemorySink::new());
         r.emit_metrics(&Metrics::new(sink.clone()).scoped("run"));
         let mut saw_contention = false;
@@ -769,6 +799,12 @@ mod tests {
         let net = net();
         let mut b = ProgramBuilder::new(2);
         b.transfer(0, 1, 1);
-        execute(&b.build(), &net, &[SiteId(0)], &RunConfig::default());
+        execute(
+            &b.build(),
+            &net,
+            &[SiteId(0)],
+            &RunConfig::default(),
+            &Trace::off(),
+        );
     }
 }

@@ -3,6 +3,7 @@
 
 use commgraph::collectives::{allreduce, barrier, broadcast};
 use commgraph::ProgramBuilder;
+use geomap_core::Trace;
 use geonet::{presets, AlphaBeta, GeoCoord, InstanceType, Site, SiteId, SiteNetwork};
 use mpirt::{execute, RunConfig};
 use simnet::LinkConfig;
@@ -30,7 +31,7 @@ fn binomial_broadcast_takes_log_rounds_on_a_cluster() {
         let (net, assignment) = single_site(n);
         let mut b = ProgramBuilder::new(n);
         broadcast(&mut b, &(0..n).collect::<Vec<_>>(), 0, 1);
-        let r = execute(&b.build(), &net, &assignment, &no_overhead());
+        let r = execute(&b.build(), &net, &assignment, &no_overhead(), &Trace::off());
         let hop = net.alpha_beta(SiteId(0), SiteId(0)).transfer_time(1);
         let rounds = (n as f64).log2().ceil();
         assert!(
@@ -48,7 +49,7 @@ fn recursive_doubling_allreduce_takes_log_rounds() {
         let (net, assignment) = single_site(n);
         let mut b = ProgramBuilder::new(n);
         allreduce(&mut b, &(0..n).collect::<Vec<_>>(), 1);
-        let r = execute(&b.build(), &net, &assignment, &no_overhead());
+        let r = execute(&b.build(), &net, &assignment, &no_overhead(), &Trace::off());
         let hop = net.alpha_beta(SiteId(0), SiteId(0)).transfer_time(1);
         let rounds = (n as f64).log2();
         // Each exchange round is two opposite sends that overlap.
@@ -74,7 +75,7 @@ fn barrier_synchronizes_everyone() {
         zero_compute: false,
         ..no_overhead()
     };
-    let r = execute(&b.build(), &net, &assignment, &cfg);
+    let r = execute(&b.build(), &net, &assignment, &cfg, &Trace::off());
     for (rank, t) in r.rank_finish.iter().enumerate() {
         assert!(
             *t >= 1.0,
@@ -99,7 +100,7 @@ fn shared_wan_is_never_faster_than_unshared() {
         }
     }
     let prog = b.build();
-    let shared = execute(&prog, &net, &assignment, &no_overhead());
+    let shared = execute(&prog, &net, &assignment, &no_overhead(), &Trace::off());
     let unshared_cfg = RunConfig {
         links: LinkConfig {
             shared_wan: false,
@@ -108,7 +109,7 @@ fn shared_wan_is_never_faster_than_unshared() {
         },
         ..no_overhead()
     };
-    let unshared = execute(&prog, &net, &assignment, &unshared_cfg);
+    let unshared = execute(&prog, &net, &assignment, &unshared_cfg, &Trace::off());
     assert!(
         shared.makespan >= unshared.makespan - 1e-12,
         "contention made things faster? {} vs {}",
@@ -128,7 +129,7 @@ fn makespan_at_least_bottleneck_estimate_under_contention() {
     let assignment: Vec<SiteId> = (0..n).map(|i| SiteId(i % 4)).collect();
     let w = commgraph::apps::AppKind::Sp.workload(n);
     let prog = w.program();
-    let r = execute(&prog, &net, &assignment, &no_overhead());
+    let r = execute(&prog, &net, &assignment, &no_overhead(), &Trace::off());
     // The bottleneck estimate uses msgs*alpha + bytes/beta on the busiest
     // link; serialization alone (bytes/beta part) must fit within the
     // makespan.
@@ -160,7 +161,7 @@ fn compute_overlaps_with_other_ranks_communication() {
         zero_compute: false,
         ..no_overhead()
     };
-    let r = execute(&b.build(), &net, &assignment, &cfg);
+    let r = execute(&b.build(), &net, &assignment, &cfg, &Trace::off());
     assert!(
         (r.makespan - 1.0).abs() < 0.01,
         "no overlap: {}",
@@ -182,7 +183,7 @@ fn send_overhead_accumulates_on_the_sender() {
         send_overhead: 1e-3,
         ..RunConfig::comm_only()
     };
-    let r = execute(&b.build(), &net, &assignment, &cfg);
+    let r = execute(&b.build(), &net, &assignment, &cfg, &Trace::off());
     assert!(
         r.rank_finish[0] >= 0.1 - 1e-9,
         "sender overhead missing: {}",
@@ -200,14 +201,14 @@ fn timeline_records_every_message() {
         record_timeline: true,
         ..RunConfig::comm_only()
     };
-    let r = mpirt::execute_workload(w.as_ref(), &net, &a, &cfg);
+    let r = mpirt::execute_workload(w.as_ref(), &net, &a, &cfg, &Trace::off());
     assert_eq!(r.timeline.len() as u64, r.stats.total_messages());
     for m in &r.timeline {
         assert!(m.arrival >= m.depart, "{m:?}");
         assert!(m.arrival <= r.makespan + 1e-9);
     }
     // Off by default.
-    let r2 = mpirt::execute_workload(w.as_ref(), &net, &a, &RunConfig::comm_only());
+    let r2 = mpirt::execute_workload(w.as_ref(), &net, &a, &RunConfig::comm_only(), &Trace::off());
     assert!(r2.timeline.is_empty());
 }
 
@@ -215,7 +216,13 @@ fn timeline_records_every_message() {
 fn empty_program_finishes_at_time_zero() {
     let (net, assignment) = single_site(4);
     let prog = ProgramBuilder::new(4).build();
-    let r = execute(&prog, &net, &assignment, &RunConfig::default());
+    let r = execute(
+        &prog,
+        &net,
+        &assignment,
+        &RunConfig::default(),
+        &Trace::off(),
+    );
     assert_eq!(r.makespan, 0.0);
     assert_eq!(r.stats.total_messages(), 0);
 }

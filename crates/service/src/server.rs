@@ -428,9 +428,10 @@ fn extract_message(buf: &[u8]) -> Extract {
 }
 
 fn reactor_loop(index: usize, conn_cap: usize, service: &MappingService, queue: &Queue) {
-    let trace = service.config().trace.clone();
-    let track = trace.track("service", &format!("worker-{index}"));
-    let scope = TraceScope::new(&trace, track);
+    let scope = service
+        .config()
+        .metrics
+        .track("service", &format!("worker-{index}"));
     let mut conns: Vec<Conn> = Vec::new();
     let mut idle_sweeps = 0u32;
     loop {

@@ -33,12 +33,11 @@ use crate::proto::{
     MapResponse, RemapDiffResponse, RemapRequest, Request, Response, StatsDetail, StatsResponse,
     TraceDumpResponse, WireTraceEvent, WireTrack,
 };
-use baselines::{GreedyMapper, MonteCarlo, MpippMapper, RandomMapper};
+use baselines::MapperSpec;
 use commgraph::CommPattern;
 use geomap_core::{
-    cost, repair_with_tables, ConstraintVector, CostModel, CostTables, GeoMapper, Mapper, Mapping,
-    MappingProblem, Metrics, MultilevelConfig, MultilevelMapper, RemapConfig, RingBufferSink,
-    Trace, TraceEventKind, TraceScope,
+    cost, repair_with_tables, ConstraintVector, CostModel, CostTables, Mapping, MappingProblem,
+    Metrics, MultilevelConfig, RemapConfig, RingBufferSink, TraceEventKind, TraceScope,
 };
 use geonet::{io as netio, Calibrator, SiteId, SiteNetwork};
 use std::collections::HashSet;
@@ -70,12 +69,11 @@ pub struct ServiceConfig {
     /// (`None`: leases live until explicit teardown).
     pub default_lease_ttl: Option<Duration>,
     /// Observability: request-phase timings and cache/inventory
-    /// counters land under the `service` scope.
+    /// counters land under the `service` scope. Its trace gets one
+    /// track per front-end worker and is also threaded into the
+    /// mappers' own search spans (the mappers' metrics stay off).
     pub metrics: Metrics,
-    /// Event tracing: the front-end opens one track per worker; the
-    /// handle is also threaded into the mappers' own search spans.
-    pub trace: Trace,
-    /// The ring behind `trace`, when the daemon should answer
+    /// The ring behind the trace, when the daemon should answer
     /// [`Request::TraceDump`] — `geomap observe` collects these rings
     /// fleet-wide and merges them into one timeline. `None` (the
     /// default) rejects dump requests; the trace handle itself may
@@ -104,7 +102,6 @@ impl Default for ServiceConfig {
             default_deadline: None,
             default_lease_ttl: None,
             metrics: Metrics::off(),
-            trace: Trace::off(),
             trace_ring: None,
             record_hists: true,
             clock: Arc::new(WallClock),
@@ -721,12 +718,12 @@ impl MappingService {
     ) -> Result<Arc<PreparedProblem>, Box<Response>> {
         let generation = self.calib_generation.fetch_add(1, Ordering::SeqCst) + 1;
         let fallback = self.last_good.lock().expect("calibration lock").clone();
-        scope.span_begin("calibrate");
-        let report = self.metrics.timed("phase.calibrate", || {
-            Calibrator::new(calibration.to_config())
-                .calibrate_resilient(&self.network, fallback.as_ref().map(|g| &g.estimated))
-        });
-        scope.span_end("calibrate");
+        let report = self
+            .metrics
+            .phase(scope, "calibrate", "phase.calibrate", || {
+                Calibrator::new(calibration.to_config())
+                    .calibrate_resilient(&self.network, fallback.as_ref().map(|g| &g.estimated))
+            });
         let report = match report {
             Ok(r) => r,
             Err(e) => {
@@ -820,55 +817,20 @@ impl MappingService {
         prepared: &PreparedProblem,
     ) -> Result<SolvedResult, Box<Response>> {
         let problem = &*prepared.problem;
-        let trace = &self.config.trace;
-        let mapper: Box<dyn Mapper> = match m.algorithm.as_str() {
-            "geo" => Box::new(GeoMapper {
-                seed: m.seed,
-                kappa: m.kappa,
-                trace: trace.clone(),
-                ..GeoMapper::default()
-            }),
-            "greedy" => Box::new(GreedyMapper {
-                trace: trace.clone(),
-                ..GreedyMapper::default()
-            }),
-            "mpipp" => Box::new(MpippMapper {
-                trace: trace.clone(),
-                ..MpippMapper::with_seed(m.seed)
-            }),
-            "random" => Box::new(RandomMapper::with_seed(m.seed)),
-            "montecarlo" => Box::new(MonteCarlo {
-                trace: trace.clone(),
-                ..MonteCarlo::new(m.samples, m.seed)
-            }),
-            "multilevel" => {
-                let spec = m.multilevel.unwrap_or_default();
-                Box::new(MultilevelMapper {
-                    config: MultilevelConfig {
-                        coarsen_cutoff: spec.coarsen_cutoff,
-                        match_rounds: spec.match_rounds,
-                        refine_passes: spec.refine_passes,
-                    },
-                    inner: GeoMapper {
-                        seed: m.seed,
-                        kappa: m.kappa,
-                        trace: trace.clone(),
-                        ..GeoMapper::default()
-                    },
-                    trace: trace.clone(),
-                    ..MultilevelMapper::default()
-                })
-            }
-            other => {
-                return Err(Box::new(self.reject(
-                    &m.id,
-                    ErrorCode::BadRequest,
-                    format!(
-                        "unknown algorithm {other:?}                          (geo|greedy|mpipp|random|montecarlo|multilevel)"
-                    ),
-                )))
-            }
+        let ml = m.multilevel.unwrap_or_default();
+        let spec = MapperSpec {
+            seed: m.seed,
+            kappa: m.kappa,
+            samples: m.samples,
+            multilevel: MultilevelConfig {
+                coarsen_cutoff: ml.coarsen_cutoff,
+                match_rounds: ml.match_rounds,
+                refine_passes: ml.refine_passes,
+            },
+            metrics: Metrics::off().with_trace(self.metrics.trace().clone()),
         };
+        let mapper = baselines::mapper_for(&m.algorithm, &spec)
+            .map_err(|e| Box::new(self.reject(&m.id, ErrorCode::BadRequest, e)))?;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mapping = mapper.map(problem);
             let cost = cost(problem, &mapping);
@@ -1077,8 +1039,7 @@ impl MappingService {
             alpha: r.alpha,
             ..RemapConfig::default()
         };
-        scope.span_begin("remap");
-        let outcome = self.metrics.timed("phase.remap", || {
+        let outcome = self.metrics.phase(scope, "remap", "phase.remap", || {
             let tables = CostTables::build(&prepared.problem, CostModel::Full);
             repair_with_tables(
                 &tables,
@@ -1088,7 +1049,6 @@ impl MappingService {
                 &config,
             )
         });
-        scope.span_end("remap");
 
         let lease = if let Some(lease) = r.lease {
             let new_counts = outcome.mapping.site_counts(num_sites);
@@ -1222,7 +1182,7 @@ impl MappingService {
             .collect();
         let mut dump = TraceDumpResponse {
             id: id.to_string(),
-            now_s: self.config.trace.now(),
+            now_s: self.metrics.trace().now(),
             dropped: ring.dropped(),
             tracks,
             events,
@@ -1292,7 +1252,6 @@ impl MappingService {
     /// Flush the metrics sink (the front-end calls this on shutdown).
     pub fn flush(&self) {
         self.metrics.flush();
-        self.config.trace.flush();
     }
 }
 
@@ -1310,6 +1269,7 @@ impl std::fmt::Debug for MappingService {
 mod tests {
     use super::*;
     use crate::frame::{self, Frame, MAX_FRAME_BYTES};
+    use geomap_core::Trace;
 
     /// A full ring used to encode to a frame past `MAX_FRAME_BYTES`,
     /// which every peer's decoder (the daemon's own included) refuses.
@@ -1323,7 +1283,7 @@ mod tests {
             trace.instant(track, "request", i as f64);
         }
         let config = ServiceConfig {
-            trace,
+            metrics: Metrics::off().with_trace(trace),
             trace_ring: Some(ring),
             ..ServiceConfig::default()
         };

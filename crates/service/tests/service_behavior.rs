@@ -199,6 +199,26 @@ fn malformed_requests_get_stable_error_codes() {
     }
 }
 
+/// The daemon and `geomap map --algorithm` share one factory, so an
+/// unknown name gets the same one-line message from both.
+#[test]
+fn unknown_algorithm_gets_the_exact_factory_message() {
+    let request = MapRequest {
+        algorithm: "quantum".into(),
+        ..MapRequest::new("q", pattern_csv(16))
+    };
+    match service().handle(&Request::Map(request)) {
+        Response::Error(e) => {
+            assert_eq!(e.code, ErrorCode::BadRequest);
+            assert_eq!(
+                e.message,
+                "unknown algorithm \"quantum\" (geo|greedy|mpipp|random|montecarlo|multilevel)"
+            );
+        }
+        other => panic!("expected error, got {other:?}"),
+    }
+}
+
 #[test]
 fn reserve_release_lifecycle_keeps_inventory_exact() {
     let svc = service();

@@ -13,6 +13,7 @@
 
 use geo_process_mapping::prelude::*;
 use geomap_core::pipeline::{self, PipelineConfig};
+use geomap_core::Trace;
 use geonet::calibration_cost_minutes;
 
 fn main() {
@@ -49,9 +50,23 @@ fn main() {
 
     println!("\n== stage 5: verify against the ground truth ==");
     let cfg = runtime::RunConfig::comm_only();
-    let optimized = runtime::execute(&program, &truth, result.mapping.as_slice(), &cfg).makespan;
+    let optimized = runtime::execute(
+        &program,
+        &truth,
+        result.mapping.as_slice(),
+        &cfg,
+        &Trace::off(),
+    )
+    .makespan;
     let random_mapping = baselines::RandomMapper::default().map(&result.problem);
-    let random = runtime::execute(&program, &truth, random_mapping.as_slice(), &cfg).makespan;
+    let random = runtime::execute(
+        &program,
+        &truth,
+        random_mapping.as_slice(),
+        &cfg,
+        &Trace::off(),
+    )
+    .makespan;
     println!("random placement:     {random:>8.2}s communication time");
     println!("pipeline's placement: {optimized:>8.2}s communication time");
     println!(

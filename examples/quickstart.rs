@@ -10,7 +10,7 @@
 //! ```
 
 use geo_process_mapping::prelude::*;
-use geomap_core::cost as eq3_cost;
+use geomap_core::{cost as eq3_cost, Trace};
 
 fn main() {
     // 1. The environment: 4 geo-distributed EC2 regions, 16 m4.xlarge
@@ -56,6 +56,7 @@ fn main() {
             &network,
             mapping.as_slice(),
             &runtime::RunConfig::comm_only(),
+            &Trace::off(),
         )
         .makespan;
         let vs = match baseline_time {

@@ -2,7 +2,7 @@
 
 use geo_process_mapping::comm::apps::Workload;
 use geo_process_mapping::prelude::*;
-use geomap_core::cost as eq3_cost;
+use geomap_core::{cost as eq3_cost, Trace};
 
 /// The paper's deployment at a reduced node count per site.
 fn deployment(nodes_per_site: usize, seed: u64) -> net::SiteNetwork {
@@ -73,6 +73,7 @@ fn geo_beats_baseline_in_simulated_execution() {
                 .map(&problem)
                 .as_slice(),
             &cfg,
+            &Trace::off(),
         )
         .makespan;
         let geo = runtime::execute_workload(
@@ -80,6 +81,7 @@ fn geo_beats_baseline_in_simulated_execution() {
             &network,
             GeoMapper::default().map(&problem).as_slice(),
             &cfg,
+            &Trace::off(),
         )
         .makespan;
         assert!(geo < base, "{app}: simulated geo {geo} vs baseline {base}");
@@ -99,12 +101,14 @@ fn optimized_mappings_cut_wan_traffic() {
             .map(&problem)
             .as_slice(),
         &cfg,
+        &Trace::off(),
     );
     let geo = runtime::execute_workload(
         workload.as_ref(),
         &network,
         GeoMapper::default().map(&problem).as_slice(),
         &cfg,
+        &Trace::off(),
     );
     assert!(
         geo.stats.wan_fraction() < random.stats.wan_fraction(),

@@ -2,7 +2,7 @@
 
 use geo_process_mapping::comm::apps::Workload;
 use geo_process_mapping::prelude::*;
-use geomap_core::cost as eq3_cost;
+use geomap_core::{cost as eq3_cost, Trace};
 use proptest::prelude::*;
 
 /// A random problem: 2–4 sites from the EC2 catalogue, 4–24 processes
@@ -89,7 +89,7 @@ proptest! {
         let assignment: Vec<geonet::SiteId> =
             (0..n).map(|i| geonet::SiteId((i as u64 + seed) as usize % 4)).collect();
         let result = runtime::execute(&program, &network, &assignment,
-            &runtime::RunConfig { send_overhead: 0.0, ..runtime::RunConfig::comm_only() });
+            &runtime::RunConfig { send_overhead: 0.0, ..runtime::RunConfig::comm_only() }, &Trace::off());
         let floor = network.alpha_beta(assignment[0], assignment[1]).transfer_time(bytes);
         prop_assert!(result.makespan >= floor - 1e-12);
         prop_assert!((result.makespan - floor).abs() < 1e-9);

@@ -27,6 +27,7 @@
 //! service::MappingService            ← in-memory mode, deterministic
 //!        ├── inventory  ├── cache  ├── fingerprint
 //! server::MappingServer              ← TCP front-end, reactor threads
+//!        └── poll (poll(2), the crate's one unsafe call)
 //! transport                          ← Transport/Connector seam, faults
 //! client                             ← blocking + retrying + pooled
 //! ```
@@ -51,6 +52,7 @@ pub mod frame;
 pub mod hist;
 pub mod inventory;
 pub mod json;
+mod poll;
 pub mod proto;
 pub mod reconciler;
 mod schema;

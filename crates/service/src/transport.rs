@@ -157,8 +157,12 @@ impl TcpTransport {
             };
             match attempt {
                 Ok(stream) => {
+                    // No Nagle: a request (or a pipelined batch) leaves
+                    // in one write and must not wait for the ACK of the
+                    // previous one.
                     stream
-                        .set_read_timeout(timeout)
+                        .set_nodelay(true)
+                        .and_then(|()| stream.set_read_timeout(timeout))
                         .and_then(|()| stream.set_write_timeout(timeout))
                         .map_err(|e| unreachable(format!("cannot configure socket: {e}")))?;
                     let writer = stream
@@ -734,6 +738,16 @@ mod tests {
             Vec::<&str>::new(),
             "a fault that never fired must not be recorded as injected"
         );
+    }
+
+    #[test]
+    fn tcp_transport_disables_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let transport =
+            TcpTransport::connect(&addr, Some(Duration::from_secs(10))).expect("connect");
+        assert!(transport.writer.nodelay().expect("nodelay"));
+        assert!(transport.reader.get_ref().nodelay().expect("nodelay"));
     }
 
     /// A garbled v2 frame must fail decoding just like a garbled v1

@@ -17,6 +17,12 @@
 //! state bitwise (frames save the touched cache entries, not recomputed
 //! values).
 //!
+//! Most candidates a search evaluates are rejections. A lazily built
+//! per-site table decides most of them in `O(1)`:
+//! [`CostEval::swap_delta_if_below`] and [`CostEval::move_delta_if_below`]
+//! return `None` when the table proves the delta is at or above the
+//! caller's limit, and the exact, unchanged delta otherwise.
+//!
 //! The seed's ground truth stays available behind the same trait:
 //! [`FullRecomputeEval`] evaluates every candidate by a full `O(E)`
 //! re-walk. [`Evaluation`] selects between the two at mapper-config
@@ -31,6 +37,7 @@ use crate::problem::MappingProblem;
 use crate::trace::TraceScope;
 use geonet::SiteId;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Aggregate statistics of one swap-search run — the per-mapper numbers
 /// the observability layer reports (generalizing [`CostEval::terms`]).
@@ -544,6 +551,24 @@ pub trait CostEval: Sync {
     /// (Capacity bookkeeping is the caller's job.)
     fn move_delta(&self, i: usize, to: SiteId) -> f64;
 
+    /// [`CostEval::swap_delta`] behind a screen: `None` only when the
+    /// exact delta is known to be `>= limit` without computing it;
+    /// otherwise `Some` of the exact, bitwise-unchanged `swap_delta`.
+    /// Callers keep their own comparison on the returned value, so a
+    /// screened search takes exactly the decisions an unscreened one
+    /// does. The default never screens.
+    fn swap_delta_if_below(&self, a: usize, b: usize, limit: f64) -> Option<f64> {
+        let _ = limit;
+        Some(self.swap_delta(a, b))
+    }
+
+    /// [`CostEval::move_delta`] behind the same screen as
+    /// [`CostEval::swap_delta_if_below`].
+    fn move_delta_if_below(&self, i: usize, to: SiteId, limit: f64) -> Option<f64> {
+        let _ = limit;
+        Some(self.move_delta(i, to))
+    }
+
     /// Apply the swap, update caches, push an undo frame; returns the
     /// applied delta.
     fn apply_swap(&mut self, a: usize, b: usize) -> f64;
@@ -557,7 +582,10 @@ pub trait CostEval: Sync {
     fn revert(&mut self) -> bool;
 
     /// α–β terms evaluated so far (one `pair_cost` = one term) — the
-    /// work metric behind the Fig. 4 FLOP comparisons.
+    /// work metric behind the Fig. 4 FLOP comparisons. A screen query
+    /// of [`CostEvaluator`] counts one term per site-table entry it
+    /// reads (2 for a move, 4 for a swap), plus the exact delta's terms
+    /// when it passes.
     fn terms(&self) -> u64;
 
     /// Partner ids of `i` in CSR order (the communicating pairs a
@@ -583,12 +611,20 @@ struct Frame {
 }
 
 /// The incremental engine: cached per-process incident costs over
-/// [`CostTables`].
+/// [`CostTables`], with a lazily built per-site table that screens out
+/// candidates in `O(1)`.
 pub struct CostEvaluator<'t> {
     tables: &'t CostTables,
     sites: Vec<SiteId>,
-    /// `incident[i]` = both-direction cost of all edges at `i`.
+    /// `incident[i]` = both-direction cost of all edges at `i`. Exact:
+    /// every returned delta is computed against it.
     incident: Vec<f64>,
+    /// `at[i·m + s]` = the incident cost `i` would have on site `s`,
+    /// its peers where they are. Built on the first cross-site screen
+    /// query, shifted (never snapshotted) by applies and reverts, so it
+    /// drifts from `incident` by rounding only; the screen's tolerance
+    /// covers that drift.
+    at: OnceLock<Vec<f64>>,
     total: f64,
     frames: Vec<Frame>,
     terms: AtomicU64,
@@ -604,6 +640,7 @@ impl<'t> CostEvaluator<'t> {
             tables,
             sites,
             incident,
+            at: OnceLock::new(),
             total,
             frames: Vec::new(),
             terms: AtomicU64::new((3 * tables.num_entries()) as u64),
@@ -676,7 +713,120 @@ impl<'t> CostEvaluator<'t> {
     fn deg(&self, i: usize) -> u64 {
         (self.tables.row_ptr[i + 1] - self.tables.row_ptr[i]) as u64
     }
+
+    /// The incident cost `i` would have on site `s`, its peers where
+    /// they are: the screen's table entry, kept up to date by shifts,
+    /// so it tracks a fresh recompute up to rounding.
+    pub fn site_cost(&self, i: usize, s: SiteId) -> f64 {
+        self.site_table()[i * self.tables.m + s.index()]
+    }
+
+    /// The per-site table, built on first use. Each row first sums its
+    /// edge components by peer site, so the build costs `O(E + n·m·q)`
+    /// for `q` distinct peer sites per process, counted as `2·m` terms
+    /// per (process, peer site) pair.
+    fn site_table(&self) -> &[f64] {
+        self.at.get_or_init(|| {
+            let t = self.tables;
+            let m = t.m;
+            let mut at = vec![0.0; t.n * m];
+            // (out msgs, out bytes, in msgs, in bytes) per peer site.
+            let mut by_site = vec![[0.0f64; 4]; m];
+            let mut touched: Vec<usize> = Vec::with_capacity(m);
+            let mut pairs = 0usize;
+            for (i, row) in at.chunks_exact_mut(m).enumerate() {
+                for k in t.row(i) {
+                    let q = self.sites[t.peer[k] as usize].index();
+                    if !touched.contains(&q) {
+                        touched.push(q);
+                    }
+                    let acc = &mut by_site[q];
+                    acc[0] += t.out_m[k];
+                    acc[1] += t.out_b[k];
+                    acc[2] += t.in_m[k];
+                    acc[3] += t.in_b[k];
+                }
+                pairs += touched.len();
+                for q in touched.drain(..) {
+                    let [om, ob, im, ib] = std::mem::take(&mut by_site[q]);
+                    for (s, slot) in row.iter_mut().enumerate() {
+                        let (sq, qs) = (s * m + q, q * m + s);
+                        *slot +=
+                            om * t.lt[sq] + ob * t.inv_bt[sq] + im * t.lt[qs] + ib * t.inv_bt[qs];
+                    }
+                }
+            }
+            self.count_terms((2 * m * pairs) as u64);
+            at
+        })
+    }
+
+    /// Shift the site-table rows of `x`'s peers for `x` moving
+    /// `from → to` (a no-op until the table exists), `2·m` terms per
+    /// peer. A peer's row does not depend on the peer's own site, so
+    /// the two halves of a swap shift independently, and a revert is
+    /// the inverse shift.
+    fn shift_site_table(&mut self, x: usize, from: SiteId, to: SiteId) {
+        let t = self.tables;
+        let m = t.m;
+        let Some(at) = self.at.get_mut() else {
+            return;
+        };
+        let (f, g) = (from.index(), to.index());
+        // Change per unit of each edge component (out msgs, out bytes,
+        // in msgs, in bytes) for a peer on site `s`; components are
+        // stored from `x`'s side (out = x→peer).
+        let unit: Vec<[f64; 4]> = (0..m)
+            .map(|s| {
+                let (fs, gs, sf, sg) = (f * m + s, g * m + s, s * m + f, s * m + g);
+                [
+                    t.lt[gs] - t.lt[fs],
+                    t.inv_bt[gs] - t.inv_bt[fs],
+                    t.lt[sg] - t.lt[sf],
+                    t.inv_bt[sg] - t.inv_bt[sf],
+                ]
+            })
+            .collect();
+        for k in t.row(x) {
+            let (om, ob, im, ib) = (t.out_m[k], t.out_b[k], t.in_m[k], t.in_b[k]);
+            let row = &mut at[t.peer[k] as usize * m..][..m];
+            for (slot, d) in row.iter_mut().zip(&unit) {
+                *slot += om * d[0] + ob * d[1] + im * d[2] + ib * d[3];
+            }
+        }
+        self.count_terms(2 * m as u64 * self.deg(x));
+    }
+
+    /// Table estimate of `swap_delta(a, b)` for `a`, `b` on distinct
+    /// sites, and its tolerance. Exact up to rounding: the a↔b edge,
+    /// found by binary search in `a`'s sorted CSR row, contributes
+    /// `ω·(X(sa,sb) + X(sb,sa) − X(sa,sa) − X(sb,sb))` for `X` = `LT`
+    /// and `1/BT`, which the four table entries leave out.
+    fn swap_estimate(&self, at: &[f64], a: usize, b: usize) -> (f64, f64) {
+        let t = self.tables;
+        let m = t.m;
+        let (sa, sb) = (self.sites[a].index(), self.sites[b].index());
+        let (a_to, a_now) = (at[a * m + sb], at[a * m + sa]);
+        let (b_to, b_now) = (at[b * m + sa], at[b * m + sb]);
+        let mut estimate = (a_to - a_now) + (b_to - b_now);
+        let row = t.row(a);
+        if let Ok(off) = t.peer[row.clone()].binary_search(&(b as u32)) {
+            let k = row.start + off;
+            let cross =
+                |x: &[f64]| x[sa * m + sb] + x[sb * m + sa] - x[sa * m + sa] - x[sb * m + sb];
+            estimate += (t.out_m[k] + t.in_m[k]) * cross(&t.lt)
+                + (t.out_b[k] + t.in_b[k]) * cross(&t.inv_bt);
+        }
+        let tol = SCREEN_TOL_REL * (a_to.abs() + a_now.abs() + b_to.abs() + b_now.abs());
+        (estimate, tol)
+    }
 }
+
+/// Relative tolerance of the site-table screen: `1e-9` of the summed
+/// magnitudes of the table entries an estimate reads. Far above the
+/// rounding drift between the shifted table and the exact caches, far
+/// below any delta a search decides on.
+const SCREEN_TOL_REL: f64 = 1e-9;
 
 impl CostEval for CostEvaluator<'_> {
     fn total(&self) -> f64 {
@@ -715,6 +865,46 @@ impl CostEval for CostEvaluator<'_> {
         after - self.incident[i]
     }
 
+    fn swap_delta_if_below(&self, a: usize, b: usize, limit: f64) -> Option<f64> {
+        if a == b || self.sites[a] == self.sites[b] {
+            return Some(0.0);
+        }
+        let at = self.site_table();
+        self.count_terms(4);
+        let (estimate, tol) = self.swap_estimate(at, a, b);
+        if estimate >= limit + tol {
+            return None;
+        }
+        let exact = self.swap_delta(a, b);
+        debug_assert!(
+            (estimate - exact).abs() <= tol,
+            "swap screen ({a},{b}): estimate {estimate} vs exact {exact}, tol {tol}"
+        );
+        Some(exact)
+    }
+
+    fn move_delta_if_below(&self, i: usize, to: SiteId, limit: f64) -> Option<f64> {
+        let si = self.sites[i];
+        if si == to {
+            return Some(0.0);
+        }
+        let m = self.tables.m;
+        let at = self.site_table();
+        self.count_terms(2);
+        let (now, there) = (at[i * m + si.index()], at[i * m + to.index()]);
+        let estimate = there - now;
+        let tol = SCREEN_TOL_REL * (there.abs() + now.abs());
+        if estimate >= limit + tol {
+            return None;
+        }
+        let exact = self.move_delta(i, to);
+        debug_assert!(
+            (estimate - exact).abs() <= tol,
+            "move screen ({i}→{to:?}): estimate {estimate} vs exact {exact}, tol {tol}"
+        );
+        Some(exact)
+    }
+
     fn apply_swap(&mut self, a: usize, b: usize) -> f64 {
         let delta = self.swap_delta(a, b);
         let mut saved = Vec::with_capacity(2 * (self.deg(a) + self.deg(b)) as usize + 2);
@@ -728,6 +918,8 @@ impl CostEval for CostEvaluator<'_> {
             let (sa, sb) = (self.sites[a], self.sites[b]);
             self.shift_peer_caches(a, sa, sb, b);
             self.shift_peer_caches(b, sb, sa, a);
+            self.shift_site_table(a, sa, sb);
+            self.shift_site_table(b, sb, sa);
             self.sites.swap(a, b);
             self.incident[a] = self.tables.incident(&self.sites, a);
             self.incident[b] = self.tables.incident(&self.sites, b);
@@ -749,6 +941,7 @@ impl CostEval for CostEvaluator<'_> {
         });
         if self.sites[i] != to {
             self.shift_peer_caches(i, from, to, usize::MAX);
+            self.shift_site_table(i, from, to);
             self.sites[i] = to;
             self.incident[i] = self.tables.incident(&self.sites, i);
             self.count_terms(4 * self.deg(i));
@@ -762,8 +955,23 @@ impl CostEval for CostEvaluator<'_> {
             return false;
         };
         match frame.op {
-            Op::Swap(a, b) => self.sites.swap(a as usize, b as usize),
-            Op::Move(i, from) => self.sites[i as usize] = from,
+            Op::Swap(a, b) => {
+                let (a, b) = (a as usize, b as usize);
+                let (sa, sb) = (self.sites[a], self.sites[b]);
+                if sa != sb {
+                    self.shift_site_table(a, sa, sb);
+                    self.shift_site_table(b, sb, sa);
+                }
+                self.sites.swap(a, b);
+            }
+            Op::Move(i, from) => {
+                let i = i as usize;
+                let now = self.sites[i];
+                if now != from {
+                    self.shift_site_table(i, now, from);
+                }
+                self.sites[i] = from;
+            }
         }
         self.total = frame.total;
         // Entries were snapshotted before any mutation, so restoring in
@@ -932,7 +1140,10 @@ pub fn best_improving_swap(
         let a = movable[ai];
         let mut best: Option<(usize, usize, f64)> = None;
         for &b in &movable[ai + 1..] {
-            let d = eval.swap_delta(a, b);
+            let limit = best.map_or(threshold, |(_, _, bd)| bd);
+            let Some(d) = eval.swap_delta_if_below(a, b, limit) else {
+                continue;
+            };
             if d < threshold && best.is_none_or(|(_, _, bd)| d < bd) {
                 best = Some((a, b, d));
             }
@@ -960,6 +1171,8 @@ pub fn best_improving_swap(
     // minimum lies above the band cannot contain one; the rest are
     // re-scanned in order, short-circuiting at the first hit.
     let band = min + TIE_BAND_REL * eval.total().abs().max(1.0);
+    // Screened out means Δ ≥ limit, hence Δ > band or Δ ≥ threshold.
+    let limit = threshold.min(band.next_up());
     for (ai, row) in per_row.iter().enumerate() {
         let Some((_, _, rd)) = row else { continue };
         if *rd > band {
@@ -968,7 +1181,9 @@ pub fn best_improving_swap(
         let a = movable[ai];
         for &b in &movable[ai + 1..] {
             evaluated += 1;
-            let d = eval.swap_delta(a, b);
+            let Some(d) = eval.swap_delta_if_below(a, b, limit) else {
+                continue;
+            };
             if d < threshold && d <= band {
                 return (Some((a, b, d)), evaluated);
             }
@@ -1046,7 +1261,10 @@ fn try_swap(
         return false;
     }
     stats.swaps_evaluated += 1;
-    if eval.swap_delta(i, j) < IMPROVEMENT_EPS {
+    if eval
+        .swap_delta_if_below(i, j, IMPROVEMENT_EPS)
+        .is_some_and(|d| d < IMPROVEMENT_EPS)
+    {
         eval.apply_swap(i, j);
         stats.swaps_accepted += 1;
         scope.instant("swap");

@@ -521,7 +521,10 @@ fn solve_coarse(problem: &MappingProblem, lvl: &Level, inner: &GeoMapper) -> Opt
                 if l == k || loads[l] + lvl.weights[i] > caps[l] {
                     continue;
                 }
-                let d = eval.move_delta(i, SiteId(l));
+                let limit = best.map_or(f64::INFINITY, |(bd, _, _)| bd);
+                let Some(d) = eval.move_delta_if_below(i, SiteId(l), limit) else {
+                    continue;
+                };
                 if best.is_none_or(|(bd, _, _)| d < bd) {
                     best = Some((d, i, l));
                 }
@@ -663,7 +666,10 @@ fn refine_level(
                 if l == si.0 || loads[l] + weights[i] > caps[l] {
                     continue;
                 }
-                let d = eval.move_delta(i, SiteId(l));
+                let limit = best.map_or(IMPROVEMENT_THRESHOLD, |(bd, _)| bd);
+                let Some(d) = eval.move_delta_if_below(i, SiteId(l), limit) else {
+                    continue;
+                };
                 if d < IMPROVEMENT_THRESHOLD && best.is_none_or(|(bd, _)| d < bd) {
                     best = Some((d, l));
                 }

@@ -224,8 +224,13 @@ pub fn repair_with_tables(
                 if !ledger.fits(mig, config.budget) {
                     continue;
                 }
-                let obj = eval.move_delta(i, to) + config.alpha * mig as f64;
-                if obj < best.as_ref().map_or(IMPROVEMENT_EPS, |(_, b)| *b) {
+                let bound = best.as_ref().map_or(IMPROVEMENT_EPS, |(_, b)| *b);
+                let mig_cost = config.alpha * mig as f64;
+                let Some(d) = eval.move_delta_if_below(i, to, bound - mig_cost) else {
+                    continue;
+                };
+                let obj = d + mig_cost;
+                if obj < bound {
                     best = Some((Candidate::Move(to, mig), obj));
                 }
             }
@@ -242,8 +247,13 @@ pub fn repair_with_tables(
                 if !ledger.fits(mig, config.budget) {
                     continue;
                 }
-                let obj = eval.swap_delta(i, j) + config.alpha * mig as f64;
-                if obj < best.as_ref().map_or(IMPROVEMENT_EPS, |(_, b)| *b) {
+                let bound = best.as_ref().map_or(IMPROVEMENT_EPS, |(_, b)| *b);
+                let mig_cost = config.alpha * mig as f64;
+                let Some(d) = eval.swap_delta_if_below(i, j, bound - mig_cost) else {
+                    continue;
+                };
+                let obj = d + mig_cost;
+                if obj < bound {
                     best = Some((Candidate::Swap(j, mig), obj));
                 }
             }

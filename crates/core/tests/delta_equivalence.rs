@@ -7,6 +7,9 @@
 //!    Eq. 3 recompute within `1e-9` relative, over randomized `CG`/`AG`
 //!    patterns, randomized `LT`/`BT` matrices, random constraint
 //!    vectors, and long randomized apply/revert sequences (proptest).
+//!    The site-table screen in front of the engine is sound: it drops
+//!    a candidate only when its exact delta is at or above the limit,
+//!    and passes every other one through bitwise unchanged.
 //! 2. **Exhaustive small instances** — every one of the `N·(N−1)/2`
 //!    swaps for `N ≤ 16`, all three cost models.
 //! 3. **Oracle regression** — `GeoMapper` produces *bit-identical*
@@ -228,6 +231,84 @@ proptest! {
         prop_assert!(!inc.revert());
         prop_assert_eq!(inc.sites(), &sites[..]);
         prop_assert_eq!(inc.total().to_bits(), initial_total.to_bits());
+    }
+
+    /// Property 4: the site-table screen is sound. Over random limits
+    /// and apply/revert sequences, `*_if_below` answers `None` only when
+    /// the exact delta is `>= limit`, every `Some` is bitwise the
+    /// unscreened delta, the oracle never screens, and the shifted
+    /// table stays within tolerance of a fresh build after reverts.
+    #[test]
+    fn prop_screen_is_sound_under_apply_revert(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5C2E);
+        let n = rng.random_range(4..32usize);
+        let m = rng.random_range(2..6usize);
+        let problem = random_problem(n, m, seed);
+        let tables = CostTables::build(&problem, CostModel::Full);
+        let sites = random_assignment(&problem, &mut rng);
+        let mut inc = CostEvaluator::new(&tables, sites.clone());
+        let full = FullRecomputeEval::new(&tables, sites);
+        let scale = inc.total().abs().max(1.0);
+        // A limit near the exact delta (both sides, exact ties
+        // included) or anywhere on the cost scale.
+        let limit_near = |rng: &mut StdRng, exact: f64| match rng.random_range(0..4u32) {
+            0 => exact,
+            1 => exact + rng.random_range(-1e-6..1e-6) * scale,
+            2 => exact + rng.random_range(-1.0..1.0) * exact.abs(),
+            _ => rng.random_range(-1.0..1.0) * scale,
+        };
+        let mut live_ops = 0usize;
+        for step in 0..80 {
+            for _ in 0..8 {
+                let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+                let exact = inc.swap_delta(a, b);
+                let limit = limit_near(&mut rng, exact);
+                match inc.swap_delta_if_below(a, b, limit) {
+                    None => prop_assert!(exact >= limit, "swap ({a},{b}) screened: {exact} < {limit}"),
+                    Some(d) => prop_assert_eq!(d.to_bits(), exact.to_bits()),
+                }
+                let i = rng.random_range(0..n);
+                let to = geonet::SiteId(rng.random_range(0..m));
+                let exact = inc.move_delta(i, to);
+                let limit = limit_near(&mut rng, exact);
+                match inc.move_delta_if_below(i, to, limit) {
+                    None => prop_assert!(exact >= limit, "move ({i}→{to:?}) screened: {exact} < {limit}"),
+                    Some(d) => prop_assert_eq!(d.to_bits(), exact.to_bits()),
+                }
+                prop_assert!(full.swap_delta_if_below(a, b, f64::NEG_INFINITY).is_some());
+            }
+            match rng.random_range(0..4u32) {
+                0 | 1 => {
+                    inc.apply_swap(rng.random_range(0..n), rng.random_range(0..n));
+                    live_ops += 1;
+                }
+                2 => {
+                    inc.apply_move(rng.random_range(0..n), geonet::SiteId(rng.random_range(0..m)));
+                    live_ops += 1;
+                }
+                _ => {
+                    inc.revert();
+                    live_ops = live_ops.saturating_sub(1);
+                }
+            }
+            // Unwind everything twice along the way and once at the end.
+            if step % 40 == 39 {
+                while live_ops > 0 {
+                    prop_assert!(inc.revert());
+                    live_ops -= 1;
+                }
+            }
+            let fresh = CostEvaluator::new(&tables, inc.sites().to_vec());
+            for i in 0..n {
+                for s in 0..m {
+                    let (got, want) = (inc.site_cost(i, geonet::SiteId(s)), fresh.site_cost(i, geonet::SiteId(s)));
+                    prop_assert!(
+                        (got - want).abs() <= 1e-9 * want.abs(),
+                        "site_cost({i}, {s}) drifted: {got} vs fresh {want}"
+                    );
+                }
+            }
+        }
     }
 }
 

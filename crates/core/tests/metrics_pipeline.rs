@@ -1,10 +1,11 @@
 //! End-to-end observability: one enabled [`Metrics`] handle on the
 //! pipeline must yield populated, mutually consistent phase timers and
-//! search counters — and must not change any mapping decision.
+//! search counters — and must not change any mapping decision. One
+//! fixed solve pins the counters to exact values.
 
 use commgraph::apps::AppKind;
 use geomap_core::pipeline::{run, PipelineConfig};
-use geomap_core::{ConstraintVector, MemorySink, Metrics};
+use geomap_core::{ConstraintVector, GeoMapper, Mapper, MappingProblem, MemorySink, Metrics};
 use geonet::{presets, InstanceType};
 use std::sync::Arc;
 
@@ -87,4 +88,28 @@ fn instrumentation_never_changes_the_mapping() {
         &PipelineConfig::default(),
     );
     assert_eq!(instrumented, plain.mapping);
+}
+
+/// Exact search counters of one fixed solve: `GeoMapper` on K-means
+/// N=128 over the 4-region EC2 preset (4×32 nodes, the ground-truth
+/// network, no calibration), 20 % pinned. `passes`, `swaps_evaluated`
+/// and `swaps_accepted` pin the climb's trajectory to the unscreened
+/// engine's; `terms` pins the evaluator's work, so a screen that stops
+/// pruning fails here (unscreened, the same solve counts 88 635 836).
+#[test]
+fn geo_kmeans_128_search_counters_are_pinned() {
+    let net = presets::paper_ec2_network(32, InstanceType::M4Xlarge, 1);
+    let pins = ConstraintVector::random(128, 0.2, &net.capacities(), 3);
+    let problem = MappingProblem::new(AppKind::KMeans.workload(128).pattern(), net, pins);
+    let sink = Arc::new(MemorySink::new());
+    GeoMapper {
+        metrics: Metrics::new(sink.clone()),
+        ..GeoMapper::default()
+    }
+    .map(&problem);
+    let counter = |name: &str| sink.sum("Geo-distributed", name) as u64;
+    assert_eq!(counter("search.passes"), 88);
+    assert_eq!(counter("search.swaps_evaluated"), 342_858);
+    assert_eq!(counter("search.swaps_accepted"), 500);
+    assert_eq!(counter("search.terms"), 3_063_016);
 }

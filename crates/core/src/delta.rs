@@ -21,7 +21,11 @@
 //! per-site table decides most of them in `O(1)`:
 //! [`CostEval::swap_delta_if_below`] and [`CostEval::move_delta_if_below`]
 //! return `None` when the table proves the delta is at or above the
-//! caller's limit, and the exact, unchanged delta otherwise.
+//! caller's limit, and the exact, unchanged delta otherwise. The
+//! first-improvement sweep goes one step further: its row kernel,
+//! [`CostEval::first_improving_swap`], bounds a whole site's candidates
+//! at once from per-site columns of the same table, so a row pays
+//! `O(1)` per site it can rule out instead of a screen per candidate.
 //!
 //! The seed's ground truth stays available behind the same trait:
 //! [`FullRecomputeEval`] evaluates every candidate by a full `O(E)`
@@ -48,7 +52,8 @@ pub struct SearchStats {
     /// Sweeps / exchange rounds run (including the final one that found
     /// no improvement).
     pub passes: u64,
-    /// Candidate swaps whose Δ was computed.
+    /// Eligible candidate swaps decided, whether by a bound, the screen
+    /// or the exact Δ.
     pub swaps_evaluated: u64,
     /// Swaps actually applied.
     pub swaps_accepted: u64,
@@ -241,6 +246,8 @@ pub struct CostTables {
     lt: Vec<f64>,
     /// Row-major `1 / BT(k, l)` (division folded into a multiply).
     inv_bt: Vec<f64>,
+    /// Every edge component is `>= 0` (the bucket bound relies on it).
+    nonneg: bool,
 }
 
 impl CostTables {
@@ -284,6 +291,7 @@ impl CostTables {
         let mut out_b = Vec::with_capacity(entries);
         let mut in_m = Vec::with_capacity(entries);
         let mut in_b = Vec::with_capacity(entries);
+        let mut nonneg = true;
         row_ptr.push(0u32);
         for (i, ps) in partners.iter().enumerate() {
             for p in ps {
@@ -291,6 +299,7 @@ impl CostTables {
                 let om = pattern.msgs(i, p.peer);
                 let (fom, fob) = model_components(model, om, ob);
                 let (fim, fib) = model_components(model, p.msgs - om, p.bytes - ob);
+                nonneg &= fom >= 0.0 && fob >= 0.0 && fim >= 0.0 && fib >= 0.0;
                 if !(fom.is_finite() && fob.is_finite() && fim.is_finite() && fib.is_finite()) {
                     return Err(CostTablesError::NonFiniteEdge {
                         from: i,
@@ -310,7 +319,6 @@ impl CostTables {
         }
 
         let (lt, inv_bt) = net_matrices(problem.network(), m)?;
-
         Ok(Self {
             n,
             m,
@@ -322,6 +330,7 @@ impl CostTables {
             in_b,
             lt,
             inv_bt,
+            nonneg,
         })
     }
 
@@ -395,6 +404,7 @@ impl CostTables {
         let mut out_b = Vec::with_capacity(entries);
         let mut in_m = Vec::with_capacity(entries);
         let mut in_b = Vec::with_capacity(entries);
+        let mut nonneg = true;
         row_ptr.push(0u32);
         for (i, inr) in in_rows.iter().enumerate() {
             let out = pattern.out_edges(i);
@@ -419,6 +429,7 @@ impl CostTables {
                     };
                 let (fom, fob) = model_components(model, om, ob);
                 let (fim, fib) = model_components(model, im, ib);
+                nonneg &= fom >= 0.0 && fob >= 0.0 && fim >= 0.0 && fib >= 0.0;
                 if !(fom.is_finite() && fob.is_finite() && fim.is_finite() && fib.is_finite()) {
                     return Err(CostTablesError::NonFiniteEdge {
                         from: i,
@@ -449,6 +460,7 @@ impl CostTables {
             in_b,
             lt,
             inv_bt,
+            nonneg,
         })
     }
 
@@ -530,6 +542,168 @@ impl CostTables {
     }
 }
 
+/// A fixed set of process ids, one bit each.
+#[derive(Debug, Clone, Default)]
+pub struct ProcessSet {
+    words: Vec<u64>,
+}
+
+impl ProcessSet {
+    /// The processes `0..n` for which `member` holds.
+    pub fn from_fn(n: usize, member: impl Fn(usize) -> bool) -> Self {
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for i in (0..n).filter(|&i| member(i)) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        Self { words }
+    }
+
+    /// Whether `i` is in the set (`false` past the end).
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> Members<'_> {
+        self.members_in(0..self.words.len() * 64)
+    }
+
+    /// The members in `ids`, in ascending order.
+    pub fn members_in(&self, ids: core::ops::Range<usize>) -> Members<'_> {
+        let k = ids.start / 64;
+        let first = self
+            .words
+            .get(k)
+            .map_or(0, |w| w & (!0u64 << (ids.start % 64)));
+        Members {
+            words: &self.words,
+            k,
+            rest: first,
+            end: ids.end.min(self.words.len() * 64),
+        }
+    }
+}
+
+/// Iterator over the members of a [`ProcessSet`] below an end.
+#[derive(Debug, Clone)]
+pub struct Members<'s> {
+    words: &'s [u64],
+    /// Word being drained, and its members not yet returned.
+    k: usize,
+    rest: u64,
+    end: usize,
+}
+
+impl Iterator for Members<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.rest == 0 {
+            self.k += 1;
+            if self.k * 64 >= self.end {
+                return None;
+            }
+            self.rest = self.words[self.k];
+        }
+        let i = self.k * 64 + self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        (i < self.end).then_some(i)
+    }
+}
+
+/// Who a sweep may swap: the movable processes, as a bitmap built once
+/// per climb, and which sites each process may sit on. Each scope
+/// carries a unique id, so an evaluator can keep what it derives from
+/// one (bound columns, per-site permission bitmaps) for as long as it
+/// is handed the same scope.
+pub struct SwapScope<'p> {
+    movable: ProcessSet,
+    permits: &'p dyn Fn(usize, SiteId) -> bool,
+    id: u64,
+}
+
+/// Ids of constructed [`SwapScope`]s.
+static NEXT_SCOPE_ID: AtomicU64 = AtomicU64::new(1);
+
+impl<'p> SwapScope<'p> {
+    /// The scope over processes `0..n` where `movable(i)` gates which
+    /// may move and `permits(i, s)` whether `i` may sit on site `s`.
+    pub fn new(
+        n: usize,
+        movable: impl Fn(usize) -> bool,
+        permits: &'p dyn Fn(usize, SiteId) -> bool,
+    ) -> Self {
+        Self {
+            movable: ProcessSet::from_fn(n, movable),
+            permits,
+            id: NEXT_SCOPE_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// The movable processes.
+    pub fn movable(&self) -> &ProcessSet {
+        &self.movable
+    }
+
+    /// Whether `i` may sit on site `s`.
+    #[inline]
+    pub fn permits(&self, i: usize, s: SiteId) -> bool {
+        (self.permits)(i, s)
+    }
+
+    /// Whether row `a` on `sa` may swap with candidate `b` on `sb`: `b`
+    /// is movable, sits elsewhere, and each may take the other's site.
+    #[inline]
+    fn eligible(&self, a: usize, sa: SiteId, b: usize, sb: SiteId) -> bool {
+        self.movable.contains(b) && sb != sa && self.permits(a, sb) && self.permits(b, sa)
+    }
+}
+
+/// The candidates of one row of a sweep, in ascending id order.
+#[derive(Debug, Clone)]
+pub enum Candidates<'c> {
+    /// Every process id in the range (a full-pair row).
+    Range(core::ops::Range<usize>),
+    /// These ids, ascending (a partner-edge row).
+    List(&'c [u32]),
+}
+
+impl Candidates<'_> {
+    /// The ids in order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (range, list) = match self {
+            Candidates::Range(r) => (r.clone(), &[][..]),
+            Candidates::List(l) => (0..0, *l),
+        };
+        range.chain(list.iter().map(|&b| b as usize))
+    }
+
+    /// How many ids there are.
+    pub fn len(&self) -> usize {
+        match self {
+            Candidates::Range(r) => r.len(),
+            Candidates::List(l) => l.len(),
+        }
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The candidates after `b`, which must be one of them.
+    pub fn after(&self, b: usize) -> Self {
+        match self {
+            Candidates::Range(r) => Candidates::Range(b + 1..r.end),
+            Candidates::List(l) => Candidates::List(&l[l.partition_point(|&c| c as usize <= b)..]),
+        }
+    }
+}
+
 /// Δ-cost evaluation over a mutable assignment: candidate queries,
 /// applied moves with cache maintenance, and bitwise-exact undo.
 ///
@@ -569,6 +743,37 @@ pub trait CostEval: Sync {
         Some(self.move_delta(i, to))
     }
 
+    /// The row kernel of a first-improvement sweep: the first
+    /// `b` of `candidates` that `scope` lets `a` swap with (movable, on
+    /// another site, permitted both ways) and whose exact swap delta is
+    /// below `threshold`, with that delta. Also returns how many such
+    /// eligible candidates it decided, the hit included. Decisions are
+    /// exactly those of this default, a loop over
+    /// [`CostEval::swap_delta_if_below`]; an override may only decide
+    /// the same rejections faster.
+    fn first_improving_swap(
+        &mut self,
+        a: usize,
+        candidates: Candidates<'_>,
+        scope: &SwapScope<'_>,
+        threshold: f64,
+    ) -> (Option<(usize, f64)>, u64) {
+        let sa = self.sites()[a];
+        let mut evaluated = 0;
+        for b in candidates.iter() {
+            if !scope.eligible(a, sa, b, self.sites()[b]) {
+                continue;
+            }
+            evaluated += 1;
+            if let Some(d) = self.swap_delta_if_below(a, b, threshold) {
+                if d < threshold {
+                    return (Some((b, d)), evaluated);
+                }
+            }
+        }
+        (None, evaluated)
+    }
+
     /// Apply the swap, update caches, push an undo frame; returns the
     /// applied delta.
     fn apply_swap(&mut self, a: usize, b: usize) -> f64;
@@ -585,7 +790,8 @@ pub trait CostEval: Sync {
     /// work metric behind the Fig. 4 FLOP comparisons. A screen query
     /// of [`CostEvaluator`] counts one term per site-table entry it
     /// reads (2 for a move, 4 for a swap), plus the exact delta's terms
-    /// when it passes.
+    /// when it passes; a bucket bound counts 2 per decision and 2 per
+    /// process a column build visits.
     fn terms(&self) -> u64;
 
     /// Partner ids of `i` in CSR order (the communicating pairs a
@@ -610,9 +816,176 @@ struct Frame {
     saved: Vec<(u32, f64)>,
 }
 
+/// What the row kernel knows about one site of the current row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bucket {
+    /// Not looked at yet.
+    Unknown,
+    /// No candidate there is eligible: the row's own site, or one its
+    /// process may not sit on.
+    Skip,
+    /// The bound rules out every candidate there.
+    Rejected,
+    /// Candidates there go through the pair screen.
+    Open,
+}
+
+/// Site-bucket bounds for the row kernel over one [`SwapScope`]. For a
+/// row on target site `t`, column `t` holds per source site `s` the
+/// pair `(G, H)` over the movable `b` on `s`: `G = min (at[b][t] −
+/// at[b][s])`, the least change any such `b` sees moving to `t`, and
+/// `H = max (|at[b][t]| + |at[b][s]|)`, which bounds those pairs'
+/// screen tolerances. A column costs `O(n)` and is built only when a
+/// row on its site asks. An apply or revert folds the rows it changed
+/// into the built columns (`lower`), which keeps them bounds but can
+/// loosen them; when it touched as many rows as the set has members,
+/// rebuilding on demand is no dearer, so it drops every column instead
+/// (a generation bump), as does a different movable set.
+///
+/// Full-pair rows also get, per site `t`, the bitmap of movable
+/// processes that may sit on `t`, built once per scope: a row on `t`
+/// walks its set bits instead of asking `permits` per candidate.
+#[derive(Debug, Default)]
+struct BucketBounds {
+    /// The scope the columns and `allowed` were built for.
+    scope: u64,
+    set: ProcessSet,
+    /// Size of `set`.
+    members: usize,
+    /// `cols[t·m + s] = (G, H)`; `+∞` for a site without movable
+    /// processes.
+    cols: Vec<(f64, f64)>,
+    /// Generation each column was built in; current when it equals
+    /// `generation`.
+    built: Vec<u64>,
+    generation: u64,
+    /// Per-site verdicts of the row being scanned.
+    verdict: Vec<Bucket>,
+    /// `allowed[t]`: the movable processes that may sit on `t`, once a
+    /// full-pair row on `t` asked.
+    allowed: Vec<Option<ProcessSet>>,
+}
+
+impl BucketBounds {
+    /// Adopt `scope` for `m` sites, dropping what a previous scope left.
+    fn prepare(&mut self, scope: &SwapScope<'_>, m: usize) {
+        if self.built.len() != m {
+            self.cols = vec![(0.0, 0.0); m * m];
+            self.built = vec![0; m];
+            self.generation = 1;
+        }
+        if self.scope != scope.id {
+            self.scope = scope.id;
+            self.set.clone_from(&scope.movable);
+            self.members = scope.movable.iter().count();
+            self.generation += 1;
+            self.allowed.clear();
+        }
+        self.allowed.resize(m, None);
+    }
+
+    /// Whether every movable candidate on site `s` is ruled out for row
+    /// `a` on site `sa`, and the terms the decision counted. The bound
+    /// `(at[a][s] − at[a][sa]) + G` is at most every such pair's table
+    /// estimate without its a↔b edge correction, computed in the same
+    /// floating-point operations; that correction is
+    /// `ω·cross(sa, s)` for nonnegative `ω`, so it can only raise the
+    /// estimate when both crosses (`LT` and `1/BT`) are `>= 0`, and the
+    /// bound is used only then. Rejecting at `threshold + 2T`, with `T`
+    /// the tolerance over `H`, leaves each pair's estimate at or above
+    /// `threshold` plus its own tolerance: the pair screen would have
+    /// rejected every one of them. A missing column is built only when
+    /// the asking row's `budget` of candidates is at least an average
+    /// bucket (`members / m`): a row with fewer cannot save what the
+    /// build costs, so its buckets stay open.
+    #[allow(clippy::too_many_arguments)]
+    fn rejects(
+        &mut self,
+        tables: &CostTables,
+        at: &[f64],
+        sites: &[SiteId],
+        a: usize,
+        s: usize,
+        threshold: f64,
+        budget: usize,
+    ) -> (bool, u64) {
+        let m = tables.m;
+        let sa = sites[a].index();
+        if self.built[sa] != self.generation && budget.saturating_mul(m) < self.members {
+            return (false, 0);
+        }
+        if !(tables.nonneg
+            && cross(&tables.lt, m, sa, s) >= 0.0
+            && cross(&tables.inv_bt, m, sa, s) >= 0.0)
+        {
+            return (false, 0);
+        }
+        let built = self.column(at, sites, m, sa);
+        let (g, h) = self.cols[sa * m + s];
+        let (to, now) = (at[a * m + s], at[a * m + sa]);
+        let bound = (to - now) + g;
+        let tol = SCREEN_TOL_REL * (to.abs() + now.abs() + h);
+        (bound >= threshold + 2.0 * tol, built + 2)
+    }
+
+    /// Keep every built column a bound after `p`'s table row or site
+    /// changed: fold `p`'s current values into its site's entries.
+    /// Entries only loosen this way (a process that left a site, or a
+    /// value that rose, still counts), which keeps them sound at
+    /// `O(m)` per touched process; returns the terms it counted.
+    fn lower(&mut self, at: &[f64], sites: &[SiteId], m: usize, p: usize) -> u64 {
+        if !self.set.contains(p) {
+            return 0;
+        }
+        let s = sites[p].index();
+        let row = &at[p * m..][..m];
+        let mut folded = 0;
+        for (t, &to) in row.iter().enumerate() {
+            if self.built[t] != self.generation {
+                continue;
+            }
+            let (g, h) = &mut self.cols[t * m + s];
+            *g = g.min(to - row[s]);
+            *h = h.max(to.abs() + row[s].abs());
+            folded += 2;
+        }
+        folded
+    }
+
+    /// Build column `t` unless current; returns the terms it counted
+    /// (2 per movable process visited).
+    fn column(&mut self, at: &[f64], sites: &[SiteId], m: usize, t: usize) -> u64 {
+        if self.built[t] == self.generation {
+            return 0;
+        }
+        let col = &mut self.cols[t * m..][..m];
+        col.fill((f64::INFINITY, 0.0));
+        let mut visited = 0;
+        for b in self.set.iter() {
+            let s = sites[b].index();
+            let (to, now) = (at[b * m + t], at[b * m + s]);
+            let (g, h) = &mut col[s];
+            *g = g.min(to - now);
+            *h = h.max(to.abs() + now.abs());
+            visited += 1;
+        }
+        self.built[t] = self.generation;
+        2 * visited
+    }
+}
+
+/// `X(sa,sb) + X(sb,sa) − X(sa,sa) − X(sb,sb)` for a row-major `m × m`
+/// network matrix: the factor of an a↔b edge's weight in a swap's
+/// table estimate.
+#[inline]
+fn cross(x: &[f64], m: usize, sa: usize, sb: usize) -> f64 {
+    x[sa * m + sb] + x[sb * m + sa] - x[sa * m + sa] - x[sb * m + sb]
+}
+
 /// The incremental engine: cached per-process incident costs over
 /// [`CostTables`], with a lazily built per-site table that screens out
-/// candidates in `O(1)`.
+/// candidates in `O(1)`, and site-bucket bounds over that table for the
+/// sweep's row kernel.
 pub struct CostEvaluator<'t> {
     tables: &'t CostTables,
     sites: Vec<SiteId>,
@@ -625,6 +998,11 @@ pub struct CostEvaluator<'t> {
     /// drifts from `incident` by rounding only; the screen's tolerance
     /// covers that drift.
     at: OnceLock<Vec<f64>>,
+    /// Row-kernel bounds over `at` (boxed: the kernel takes them out
+    /// for the length of a row).
+    bounds: Option<Box<BucketBounds>>,
+    /// Scratch of `shift_site_table`: per-site shift factors.
+    unit: Vec<[f64; 4]>,
     total: f64,
     frames: Vec<Frame>,
     terms: AtomicU64,
@@ -641,6 +1019,8 @@ impl<'t> CostEvaluator<'t> {
             sites,
             incident,
             at: OnceLock::new(),
+            bounds: None,
+            unit: Vec::new(),
             total,
             frames: Vec::new(),
             terms: AtomicU64::new((3 * tables.num_entries()) as u64),
@@ -776,49 +1156,179 @@ impl<'t> CostEvaluator<'t> {
         // Change per unit of each edge component (out msgs, out bytes,
         // in msgs, in bytes) for a peer on site `s`; components are
         // stored from `x`'s side (out = x→peer).
-        let unit: Vec<[f64; 4]> = (0..m)
-            .map(|s| {
-                let (fs, gs, sf, sg) = (f * m + s, g * m + s, s * m + f, s * m + g);
-                [
-                    t.lt[gs] - t.lt[fs],
-                    t.inv_bt[gs] - t.inv_bt[fs],
-                    t.lt[sg] - t.lt[sf],
-                    t.inv_bt[sg] - t.inv_bt[sf],
-                ]
-            })
-            .collect();
+        let unit = &mut self.unit;
+        unit.clear();
+        unit.extend((0..m).map(|s| {
+            let (fs, gs, sf, sg) = (f * m + s, g * m + s, s * m + f, s * m + g);
+            [
+                t.lt[gs] - t.lt[fs],
+                t.inv_bt[gs] - t.inv_bt[fs],
+                t.lt[sg] - t.lt[sf],
+                t.inv_bt[sg] - t.inv_bt[sf],
+            ]
+        }));
         for k in t.row(x) {
             let (om, ob, im, ib) = (t.out_m[k], t.out_b[k], t.in_m[k], t.in_b[k]);
             let row = &mut at[t.peer[k] as usize * m..][..m];
-            for (slot, d) in row.iter_mut().zip(&unit) {
+            for (slot, d) in row.iter_mut().zip(unit.iter()) {
                 *slot += om * d[0] + ob * d[1] + im * d[2] + ib * d[3];
             }
         }
         self.count_terms(2 * m as u64 * self.deg(x));
     }
 
-    /// Table estimate of `swap_delta(a, b)` for `a`, `b` on distinct
-    /// sites, and its tolerance. Exact up to rounding: the a↔b edge,
-    /// found by binary search in `a`'s sorted CSR row, contributes
-    /// `ω·(X(sa,sb) + X(sb,sa) − X(sa,sa) − X(sb,sb))` for `X` = `LT`
-    /// and `1/BT`, which the four table entries leave out.
-    fn swap_estimate(&self, at: &[f64], a: usize, b: usize) -> (f64, f64) {
+    /// Keep the row kernel's state sound after an apply or revert moved
+    /// `who`: their sites changed, and their peers' table rows shifted.
+    fn moved(&mut self, who: &[usize]) {
+        let (Some(at), t) = (self.at.get(), self.tables) else {
+            return;
+        };
+        let Some(bounds) = self.bounds.as_deref_mut() else {
+            return;
+        };
+        if !bounds.built.contains(&bounds.generation) {
+            return;
+        }
+        // Folding costs `O(m)` per touched row, a rebuild `O(m)` per
+        // member: past as many touched rows as members, drop instead.
+        let touched: usize = who.iter().map(|&x| 1 + t.row(x).len()).sum();
+        if touched >= bounds.members {
+            bounds.generation += 1;
+            return;
+        }
+        let mut terms = 0;
+        for &x in who {
+            terms += bounds.lower(at, &self.sites, t.m, x);
+            for k in t.row(x) {
+                terms += bounds.lower(at, &self.sites, t.m, t.peer[k] as usize);
+            }
+        }
+        self.count_terms(terms);
+    }
+
+    /// [`CostEval::first_improving_swap`] over `ids` (ascending), where
+    /// `may_move(b)` says whether `b` is movable and may sit on `a`'s
+    /// site. Each site gets its verdict at its first candidate.
+    #[allow(clippy::too_many_arguments)]
+    fn first_in(
+        &self,
+        a: usize,
+        ids: impl Iterator<Item = usize>,
+        may_move: impl Fn(usize) -> bool,
+        budget: usize,
+        scope: &SwapScope<'_>,
+        threshold: f64,
+        bounds: &mut BucketBounds,
+        terms: &mut u64,
+    ) -> (Option<(usize, f64)>, u64) {
         let t = self.tables;
+        let row = t.row(a);
+        let mut k = row.start;
+        let mut evaluated = 0;
+        for b in ids {
+            let s = self.sites[b].index();
+            let mut verdict = bounds.verdict[s];
+            if verdict == Bucket::Unknown {
+                verdict = if !scope.permits(a, SiteId(s)) {
+                    Bucket::Skip
+                } else {
+                    let at = self.site_table();
+                    let (rejected, read) =
+                        bounds.rejects(t, at, &self.sites, a, s, threshold, budget);
+                    *terms += read;
+                    if rejected {
+                        Bucket::Rejected
+                    } else {
+                        Bucket::Open
+                    }
+                };
+                bounds.verdict[s] = verdict;
+            }
+            // Most candidates sit in rejected or skipped sites: count
+            // them without a data-dependent branch.
+            if verdict != Bucket::Open {
+                evaluated += u64::from(verdict == Bucket::Rejected && may_move(b));
+                continue;
+            }
+            if !may_move(b) {
+                continue;
+            }
+            evaluated += 1;
+            while k < row.end && (t.peer[k] as usize) < b {
+                k += 1;
+            }
+            let edge = (k < row.end && t.peer[k] as usize == b).then_some(k);
+            *terms += 4;
+            if let Some(d) = self.screen_swap(a, b, edge, threshold) {
+                if d < threshold {
+                    return (Some((b, d)), evaluated);
+                }
+            }
+        }
+        (None, evaluated)
+    }
+
+    /// The pair screen for `a`, `b` on distinct sites: `None` when the
+    /// table estimate of `swap_delta(a, b)` is at or above `limit` plus
+    /// its tolerance, else the exact delta. The estimate is exact up to
+    /// rounding: the a↔b edge, CSR entry `edge` of `a`'s row when they
+    /// communicate, contributes `ω·cross(sa, sb)` for `X` = `LT` and
+    /// `1/BT` (see [`cross`]), which the four table entries leave out.
+    #[inline]
+    fn screen_swap(&self, a: usize, b: usize, edge: Option<usize>, limit: f64) -> Option<f64> {
+        let (t, at) = (self.tables, self.site_table());
         let m = t.m;
         let (sa, sb) = (self.sites[a].index(), self.sites[b].index());
         let (a_to, a_now) = (at[a * m + sb], at[a * m + sa]);
         let (b_to, b_now) = (at[b * m + sa], at[b * m + sb]);
         let mut estimate = (a_to - a_now) + (b_to - b_now);
-        let row = t.row(a);
-        if let Ok(off) = t.peer[row.clone()].binary_search(&(b as u32)) {
-            let k = row.start + off;
-            let cross =
-                |x: &[f64]| x[sa * m + sb] + x[sb * m + sa] - x[sa * m + sa] - x[sb * m + sb];
-            estimate += (t.out_m[k] + t.in_m[k]) * cross(&t.lt)
-                + (t.out_b[k] + t.in_b[k]) * cross(&t.inv_bt);
+        if let Some(k) = edge {
+            estimate += (t.out_m[k] + t.in_m[k]) * cross(&t.lt, m, sa, sb)
+                + (t.out_b[k] + t.in_b[k]) * cross(&t.inv_bt, m, sa, sb);
         }
         let tol = SCREEN_TOL_REL * (a_to.abs() + a_now.abs() + b_to.abs() + b_now.abs());
-        (estimate, tol)
+        if estimate >= limit + tol {
+            return None;
+        }
+        let exact = self.swap_delta(a, b);
+        debug_assert!(
+            (estimate - exact).abs() <= tol,
+            "swap screen ({a},{b}): estimate {estimate} vs exact {exact}, tol {tol}"
+        );
+        Some(exact)
+    }
+
+    /// Whether the bucket bound alone rules out every candidate on site
+    /// `s` for row `a` under `threshold`, over the movable processes of
+    /// `scope`: the decision [`CostEval::first_improving_swap`] takes
+    /// before screening that site's candidates one by one. When it
+    /// does, every movable `b` on `s` has an exact `swap_delta(a, b) >=
+    /// threshold`.
+    pub fn bucket_rejects(
+        &mut self,
+        a: usize,
+        s: SiteId,
+        scope: &SwapScope<'_>,
+        threshold: f64,
+    ) -> bool {
+        if self.sites[a] == s {
+            return false;
+        }
+        let mut bounds = self.bounds.take().unwrap_or_default();
+        bounds.prepare(scope, self.tables.m);
+        let at = self.site_table();
+        let (rejected, terms) = bounds.rejects(
+            self.tables,
+            at,
+            &self.sites,
+            a,
+            s.index(),
+            threshold,
+            usize::MAX,
+        );
+        self.count_terms(terms);
+        self.bounds = Some(bounds);
+        rejected
     }
 }
 
@@ -869,18 +1379,13 @@ impl CostEval for CostEvaluator<'_> {
         if a == b || self.sites[a] == self.sites[b] {
             return Some(0.0);
         }
-        let at = self.site_table();
         self.count_terms(4);
-        let (estimate, tol) = self.swap_estimate(at, a, b);
-        if estimate >= limit + tol {
-            return None;
-        }
-        let exact = self.swap_delta(a, b);
-        debug_assert!(
-            (estimate - exact).abs() <= tol,
-            "swap screen ({a},{b}): estimate {estimate} vs exact {exact}, tol {tol}"
-        );
-        Some(exact)
+        let row = self.tables.row(a);
+        let edge = self.tables.peer[row.clone()]
+            .binary_search(&(b as u32))
+            .ok()
+            .map(|off| row.start + off);
+        self.screen_swap(a, b, edge, limit)
     }
 
     fn move_delta_if_below(&self, i: usize, to: SiteId, limit: f64) -> Option<f64> {
@@ -905,6 +1410,68 @@ impl CostEval for CostEvaluator<'_> {
         Some(exact)
     }
 
+    /// The default's decisions, reached faster. Each site is put to
+    /// the bucket bound at its first candidate; a rejection stands for
+    /// the pair screen's rejection of every candidate there (see
+    /// `BucketBounds::rejects`), which are then only counted. `a`'s CSR
+    /// row is walked in step with the ascending candidates instead of
+    /// searched per pair, and terms are counted once per call. A
+    /// full-pair row walks the bitmap of processes allowed on `a`'s
+    /// site instead of asking `permits` per candidate.
+    fn first_improving_swap(
+        &mut self,
+        a: usize,
+        candidates: Candidates<'_>,
+        scope: &SwapScope<'_>,
+        threshold: f64,
+    ) -> (Option<(usize, f64)>, u64) {
+        let mut bounds = self.bounds.take().unwrap_or_default();
+        bounds.prepare(scope, self.tables.m);
+        let sa = self.sites[a];
+        bounds.verdict.clear();
+        bounds.verdict.resize(self.tables.m, Bucket::Unknown);
+        bounds.verdict[sa.index()] = Bucket::Skip;
+        let mut terms = 0;
+        let budget = candidates.len();
+        let found = match candidates {
+            Candidates::Range(ids) => {
+                let allowed = bounds.allowed[sa.index()].take().unwrap_or_else(|| {
+                    let may_sit = |b| scope.movable.contains(b) && scope.permits(b, sa);
+                    ProcessSet::from_fn(self.tables.n, may_sit)
+                });
+                let found = self.first_in(
+                    a,
+                    allowed.members_in(ids),
+                    |_| true,
+                    budget,
+                    scope,
+                    threshold,
+                    &mut bounds,
+                    &mut terms,
+                );
+                bounds.allowed[sa.index()] = Some(allowed);
+                found
+            }
+            Candidates::List(ids) => {
+                let ids = ids.iter().map(|&b| b as usize);
+                let may_move = |b| scope.movable.contains(b) && scope.permits(b, sa);
+                self.first_in(
+                    a,
+                    ids,
+                    may_move,
+                    budget,
+                    scope,
+                    threshold,
+                    &mut bounds,
+                    &mut terms,
+                )
+            }
+        };
+        self.bounds = Some(bounds);
+        self.count_terms(terms);
+        found
+    }
+
     fn apply_swap(&mut self, a: usize, b: usize) -> f64 {
         let delta = self.swap_delta(a, b);
         let mut saved = Vec::with_capacity(2 * (self.deg(a) + self.deg(b)) as usize + 2);
@@ -921,6 +1488,7 @@ impl CostEval for CostEvaluator<'_> {
             self.shift_site_table(a, sa, sb);
             self.shift_site_table(b, sb, sa);
             self.sites.swap(a, b);
+            self.moved(&[a, b]);
             self.incident[a] = self.tables.incident(&self.sites, a);
             self.incident[b] = self.tables.incident(&self.sites, b);
             self.count_terms(4 * (self.deg(a) + self.deg(b)));
@@ -943,6 +1511,7 @@ impl CostEval for CostEvaluator<'_> {
             self.shift_peer_caches(i, from, to, usize::MAX);
             self.shift_site_table(i, from, to);
             self.sites[i] = to;
+            self.moved(&[i]);
             self.incident[i] = self.tables.incident(&self.sites, i);
             self.count_terms(4 * self.deg(i));
             self.total += delta;
@@ -961,16 +1530,18 @@ impl CostEval for CostEvaluator<'_> {
                 if sa != sb {
                     self.shift_site_table(a, sa, sb);
                     self.shift_site_table(b, sb, sa);
+                    self.sites.swap(a, b);
+                    self.moved(&[a, b]);
                 }
-                self.sites.swap(a, b);
             }
             Op::Move(i, from) => {
                 let i = i as usize;
                 let now = self.sites[i];
                 if now != from {
                     self.shift_site_table(i, now, from);
+                    self.sites[i] = from;
+                    self.moved(&[i]);
                 }
-                self.sites[i] = from;
             }
         }
         self.total = frame.total;
@@ -1194,7 +1765,8 @@ pub fn best_improving_swap(
 
 /// First-improvement swap hill-climb over an evaluator: up to `passes`
 /// sweeps; full-pair below [`FULL_PAIR_LIMIT`] processes, partner-edge
-/// above. `movable(i)` gates which processes may move and
+/// above. Each row is one [`CostEval::first_improving_swap`] call (one
+/// more per accepted swap). `movable(i)` gates which processes may move and
 /// `permits(i, s)` whether `i` may sit on site `s` (multi-site
 /// constraints). Returns the [`SearchStats`] of the climb (passes run,
 /// candidates evaluated vs. accepted; `terms` is left for the caller,
@@ -1213,29 +1785,36 @@ pub fn sweep_hill_climb(
     scope: TraceScope<'_>,
 ) -> SearchStats {
     let n = eval.sites().len();
+    let swaps = SwapScope::new(n, movable, permits);
+    // A partner-edge row is the higher part of its sorted CSR row,
+    // copied into one reused buffer.
+    let mut partners: Vec<u32> = Vec::new();
     let mut stats = SearchStats::default();
     for _ in 0..passes {
         stats.passes += 1;
         scope.span_begin("pass");
         let mut improved = false;
-        for i in 0..n {
-            if !movable(i) {
-                continue;
-            }
-            if n <= FULL_PAIR_LIMIT {
-                for j in (i + 1)..n {
-                    if movable(j) && try_swap(eval, i, j, permits, &mut stats, scope) {
-                        improved = true;
-                    }
-                }
+        for i in swaps.movable().iter() {
+            let mut candidates = if n <= FULL_PAIR_LIMIT {
+                Candidates::Range(i + 1..n)
             } else {
-                // Partner-edge sweep: only communicating pairs.
-                let peers: Vec<usize> = eval.peers(i).iter().map(|&p| p as usize).collect();
-                for j in peers {
-                    if j > i && movable(j) && try_swap(eval, i, j, permits, &mut stats, scope) {
-                        improved = true;
-                    }
-                }
+                let peers = eval.peers(i);
+                partners.clear();
+                partners.extend_from_slice(&peers[peers.partition_point(|&p| p as usize <= i)..]);
+                Candidates::List(&partners)
+            };
+            // After an accept the row goes on, from its new site, with
+            // the candidates after the one it took.
+            loop {
+                let (hit, evaluated) =
+                    eval.first_improving_swap(i, candidates.clone(), &swaps, IMPROVEMENT_EPS);
+                stats.swaps_evaluated += evaluated;
+                let Some((j, _)) = hit else { break };
+                eval.apply_swap(i, j);
+                stats.swaps_accepted += 1;
+                scope.instant("swap");
+                improved = true;
+                candidates = candidates.after(j);
             }
         }
         scope.span_end("pass");
@@ -1244,33 +1823,6 @@ pub fn sweep_hill_climb(
         }
     }
     stats
-}
-
-/// One candidate: gate on `permits`, accept on Δ below the shared
-/// threshold.
-fn try_swap(
-    eval: &mut dyn CostEval,
-    i: usize,
-    j: usize,
-    permits: &dyn Fn(usize, SiteId) -> bool,
-    stats: &mut SearchStats,
-    scope: TraceScope<'_>,
-) -> bool {
-    let (si, sj) = (eval.sites()[i], eval.sites()[j]);
-    if si == sj || !permits(i, sj) || !permits(j, si) {
-        return false;
-    }
-    stats.swaps_evaluated += 1;
-    if eval
-        .swap_delta_if_below(i, j, IMPROVEMENT_EPS)
-        .is_some_and(|d| d < IMPROVEMENT_EPS)
-    {
-        eval.apply_swap(i, j);
-        stats.swaps_accepted += 1;
-        scope.instant("swap");
-        return true;
-    }
-    false
 }
 
 /// Polish `mapping` in place with a swap hill-climb over prebuilt

@@ -50,8 +50,8 @@ pub mod trace;
 pub use constraint::ConstraintVector;
 pub use cost::{cost, cost_with_model, model_components, pair_cost, CostModel};
 pub use delta::{
-    best_improving_swap, polish, sweep_hill_climb, CostEval, CostEvaluator, CostTables,
-    CostTablesError, Evaluation, FullRecomputeEval, SearchStats,
+    best_improving_swap, polish, sweep_hill_climb, Candidates, CostEval, CostEvaluator, CostTables,
+    CostTablesError, Evaluation, FullRecomputeEval, ProcessSet, SearchStats, SwapScope,
 };
 pub use geo::{GeoMapper, OrderSearch, Seeding};
 pub use grouping::group_sites;

@@ -9,7 +9,9 @@
 //!    vectors, and long randomized apply/revert sequences (proptest).
 //!    The site-table screen in front of the engine is sound: it drops
 //!    a candidate only when its exact delta is at or above the limit,
-//!    and passes every other one through bitwise unchanged.
+//!    and passes every other one through bitwise unchanged. So is the
+//!    site-bucket bound of the sweep's row kernel, which decides
+//!    exactly as the screened loop it replaces.
 //! 2. **Exhaustive small instances** — every one of the `N·(N−1)/2`
 //!    swaps for `N ≤ 16`, all three cost models.
 //! 3. **Oracle regression** — `GeoMapper` produces *bit-identical*
@@ -21,7 +23,9 @@
 use commgraph::apps::AppKind;
 use commgraph::pattern::PatternBuilder;
 use commgraph::CommPattern;
-use geomap_core::delta::{CostEval, CostEvaluator, CostTables, Evaluation, FullRecomputeEval};
+use geomap_core::delta::{
+    Candidates, CostEval, CostEvaluator, CostTables, Evaluation, FullRecomputeEval, SwapScope,
+};
 use geomap_core::{
     cost_with_model, ConstraintVector, CostModel, GeoMapper, Mapper, Mapping, MappingProblem,
 };
@@ -33,6 +37,13 @@ use rand::{RngExt, SeedableRng};
 /// Random problem: `n` processes over `m` sites with random directed
 /// `CG`/`AG` (density ~`degree/n`) and random positive `LT`/`BT`.
 fn random_problem(n: usize, m: usize, seed: u64) -> MappingProblem {
+    random_problem_on(n, m, seed, true)
+}
+
+/// [`random_problem`]; with `fast_local` false, links inside a site
+/// are drawn from the same ranges as links between sites, so some
+/// `X(k,l) + X(l,k) − X(k,k) − X(l,l)` cross terms come out negative.
+fn random_problem_on(n: usize, m: usize, seed: u64, fast_local: bool) -> MappingProblem {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = PatternBuilder::new(n);
     let edges = (n * 3).max(4);
@@ -57,14 +68,14 @@ fn random_problem(n: usize, m: usize, seed: u64) -> MappingProblem {
         })
         .collect();
     let lt = SquareMatrix::from_fn(m, |k, l| {
-        if k == l {
+        if k == l && fast_local {
             rng.random_range(1e-5..1e-4)
         } else {
             rng.random_range(1e-3..0.2)
         }
     });
     let bt = SquareMatrix::from_fn(m, |k, l| {
-        if k == l {
+        if k == l && fast_local {
             rng.random_range(1e9..1e10)
         } else {
             rng.random_range(1e6..1e8)
@@ -307,6 +318,98 @@ proptest! {
                         "site_cost({i}, {s}) drifted: {got} vs fresh {want}"
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// Property 5: the site-bucket bound is sound and the row kernel is
+    /// the screened loop, sped up. Over random networks (half of them
+    /// with negative cross terms, where the bound must fall back),
+    /// movable sets and apply/revert sequences: whenever
+    /// `bucket_rejects(a, s, scope, t)` holds, every movable `b` on
+    /// `s` has an exact `swap_delta(a, b) >= t`, at thresholds right at
+    /// and just above each of those deltas; and `first_improving_swap`,
+    /// over a full-pair range and over a sparse list, returns bitwise
+    /// the hit and the count of a plain loop over `swap_delta_if_below`.
+    #[test]
+    fn prop_bucket_bound_is_sound(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xB0C4);
+        let n = rng.random_range(4..40usize);
+        let m = rng.random_range(2..6usize);
+        let problem = random_problem_on(n, m, seed, rng.random_bool(0.5));
+        let tables = CostTables::build(&problem, CostModel::Full);
+        let mut inc = CostEvaluator::new(&tables, random_assignment(&problem, &mut rng));
+        let members: Vec<bool> = (0..n).map(|_| rng.random_bool(0.8)).collect();
+        let permits = |i: usize, s: geonet::SiteId| !(i + s.index()).is_multiple_of(7);
+        let scope = SwapScope::new(n, |i| members[i], &permits);
+        let movable = scope.movable();
+        let scale = inc.total().abs().max(1.0);
+        let mut live_ops = 0usize;
+        for _ in 0..24 {
+            for a in 0..n {
+                let sa = inc.sites()[a];
+                for s in (0..m).map(geonet::SiteId).filter(|&s| s != sa) {
+                    let bucket: Vec<(usize, f64)> = (0..n)
+                        .filter(|&b| members[b] && inc.sites()[b] == s)
+                        .map(|b| (b, inc.swap_delta(a, b)))
+                        .collect();
+                    let mut limits = vec![rng.random_range(-1.0..1.0) * scale];
+                    for &(_, d) in &bucket {
+                        limits.extend([d, d.next_up()]);
+                    }
+                    for t in limits {
+                        if inc.bucket_rejects(a, s, &scope, t) {
+                            for &(b, d) in &bucket {
+                                prop_assert!(d >= t, "bucket ({a}, {s:?}) rejected at {t}, but swap ({a},{b}) = {d}");
+                            }
+                        }
+                    }
+                }
+                let threshold = match rng.random_range(0..3u32) {
+                    0 => -1e-12,
+                    1 => inc.swap_delta(a, rng.random_range(0..n)).next_up(),
+                    _ => rng.random_range(-0.5..0.5) * scale,
+                };
+                let sparse: Vec<u32> = (a as u32 + 1..n as u32).filter(|_| rng.random_bool(0.3)).collect();
+                for candidates in [Candidates::Range(a + 1..n), Candidates::List(&sparse)] {
+                    let (mut want, mut want_evaluated) = (None, 0u64);
+                    for b in candidates.iter() {
+                        let sb = inc.sites()[b];
+                        if !movable.contains(b) || sb == sa || !permits(a, sb) || !permits(b, sa) {
+                            continue;
+                        }
+                        want_evaluated += 1;
+                        if let Some(d) = inc.swap_delta_if_below(a, b, threshold).filter(|&d| d < threshold) {
+                            want = Some((b, d));
+                            break;
+                        }
+                    }
+                    let (hit, evaluated) = inc.first_improving_swap(a, candidates, &scope, threshold);
+                    prop_assert_eq!(
+                        hit.map(|(b, d)| (b, d.to_bits())),
+                        want.map(|(b, d)| (b, d.to_bits())),
+                        "row {} at threshold {}", a, threshold
+                    );
+                    prop_assert_eq!(evaluated, want_evaluated);
+                }
+            }
+            match rng.random_range(0..4u32) {
+                0 | 1 => {
+                    inc.apply_swap(rng.random_range(0..n), rng.random_range(0..n));
+                    live_ops += 1;
+                }
+                2 => {
+                    inc.apply_move(rng.random_range(0..n), geonet::SiteId(rng.random_range(0..m)));
+                    live_ops += 1;
+                }
+                _ if live_ops > 0 => {
+                    inc.revert();
+                    live_ops -= 1;
+                }
+                _ => {}
             }
         }
     }

@@ -90,26 +90,52 @@ fn instrumentation_never_changes_the_mapping() {
     assert_eq!(instrumented, plain.mapping);
 }
 
-/// Exact search counters of one fixed solve: `GeoMapper` on K-means
-/// N=128 over the 4-region EC2 preset (4×32 nodes, the ground-truth
-/// network, no calibration), 20 % pinned. `passes`, `swaps_evaluated`
-/// and `swaps_accepted` pin the climb's trajectory to the unscreened
-/// engine's; `terms` pins the evaluator's work, so a screen that stops
-/// pruning fails here (unscreened, the same solve counts 88 635 836).
-#[test]
-fn geo_kmeans_128_search_counters_are_pinned() {
-    let net = presets::paper_ec2_network(32, InstanceType::M4Xlarge, 1);
-    let pins = ConstraintVector::random(128, 0.2, &net.capacities(), 3);
-    let problem = MappingProblem::new(AppKind::KMeans.workload(128).pattern(), net, pins);
+/// The solve behind [`geo_kmeans_128_search_counters_are_pinned`] and
+/// its single-site twin: `GeoMapper` on `app` with `n` ranks over the
+/// 4-region EC2 preset (`nodes` per region, the ground-truth network,
+/// no calibration), `pinned` of the ranks pinned. Returns the summed
+/// counter lookup.
+fn geo_counters(app: AppKind, n: usize, nodes: usize, pinned: f64) -> impl Fn(&str) -> u64 {
+    let net = presets::paper_ec2_network(nodes, InstanceType::M4Xlarge, 1);
+    let pins = if pinned > 0.0 {
+        ConstraintVector::random(n, pinned, &net.capacities(), 3)
+    } else {
+        ConstraintVector::none(n)
+    };
+    let problem = MappingProblem::new(app.workload(n).pattern(), net, pins);
     let sink = Arc::new(MemorySink::new());
     GeoMapper {
         metrics: Metrics::new(sink.clone()),
         ..GeoMapper::default()
     }
     .map(&problem);
-    let counter = |name: &str| sink.sum("Geo-distributed", name) as u64;
+    move |name: &str| sink.sum("Geo-distributed", name) as u64
+}
+
+/// Exact search counters of one fixed solve: K-means N=128 on 4×32
+/// nodes, 20 % pinned. `passes`, `swaps_evaluated` and `swaps_accepted`
+/// pin the climb's trajectory to the unscreened engine's; `terms` pins
+/// the evaluator's work, so a screen or bucket bound that stops pruning
+/// fails here (unscreened, the same solve counts 88 635 836; with the
+/// pair screen alone, 3 063 016).
+#[test]
+fn geo_kmeans_128_search_counters_are_pinned() {
+    let counter = geo_counters(AppKind::KMeans, 128, 32, 0.2);
     assert_eq!(counter("search.passes"), 88);
     assert_eq!(counter("search.swaps_evaluated"), 342_858);
     assert_eq!(counter("search.swaps_accepted"), 500);
-    assert_eq!(counter("search.terms"), 3_063_016);
+    assert_eq!(counter("search.terms"), 1_962_642);
+}
+
+/// LU N=64 on 4×64 nodes fits one site, so every candidate swap is a
+/// same-site no-op: each of the 24 polished orders runs one pass that
+/// evaluates nothing, and the evaluators count only their construction
+/// (3 terms per CSR entry: 24 × 3 × 480).
+#[test]
+fn single_site_lu_64_does_no_pair_work() {
+    let counter = geo_counters(AppKind::Lu, 64, 64, 0.0);
+    assert_eq!(counter("search.passes"), 24);
+    assert_eq!(counter("search.swaps_evaluated"), 0);
+    assert_eq!(counter("search.swaps_accepted"), 0);
+    assert_eq!(counter("search.terms"), 34_560);
 }

@@ -382,10 +382,13 @@ impl CommPattern {
 
     /// CSV of the non-zero edges: `src,dst,bytes,msgs`.
     pub fn to_csv(&self) -> String {
-        let mut s = String::from("src,dst,bytes,msgs\n");
+        use std::fmt::Write;
+        let mut s = String::with_capacity(20 + 24 * self.num_edges());
+        s.push_str("src,dst,bytes,msgs\n");
         for (src, row) in self.out.iter().enumerate() {
             for e in row {
-                s.push_str(&format!("{},{},{},{}\n", src, e.dst, e.bytes, e.msgs));
+                writeln!(s, "{},{},{},{}", src, e.dst, e.bytes, e.msgs)
+                    .expect("writing to a String");
             }
         }
         s
@@ -407,23 +410,29 @@ impl CommPattern {
             if line.trim().is_empty() {
                 continue;
             }
-            let f: Vec<&str> = line.split(',').collect();
-            if f.len() != 4 {
+            let mut fields = line.splitn(5, ',');
+            let (Some(f0), Some(f1), Some(f2), Some(f3), None) = (
+                fields.next(),
+                fields.next(),
+                fields.next(),
+                fields.next(),
+                fields.next(),
+            ) else {
                 return Err(format!(
                     "line {}: expected 4 fields, got {}",
                     lineno + 1,
-                    f.len()
+                    line.split(',').count()
                 ));
-            }
+            };
             let parse = |s: &str, what: &str| -> Result<f64, String> {
                 s.trim()
                     .parse::<f64>()
                     .map_err(|e| format!("line {}: bad {what} {s:?}: {e}", lineno + 1))
             };
-            let src = parse(f[0], "src")? as usize;
-            let dst = parse(f[1], "dst")? as usize;
-            let bytes = parse(f[2], "bytes")?;
-            let msgs = parse(f[3], "msgs")?;
+            let src = parse(f0, "src")? as usize;
+            let dst = parse(f1, "dst")? as usize;
+            let bytes = parse(f2, "bytes")?;
+            let msgs = parse(f3, "msgs")?;
             if src >= n || dst >= n {
                 return Err(format!("line {}: rank out of range for n={n}", lineno + 1));
             }

@@ -22,6 +22,13 @@
 //! `O(κ!·(N + E)·log N)` plus the bounded refinement. The `κ!` orders
 //! are embarrassingly parallel and evaluated with rayon when `parallel`
 //! is set.
+//!
+//! Every site a packing visits is filled to its free capacity, so an
+//! order's packing reads only its first `k` groups, where `k` is the
+//! shortest prefix whose free capacity holds every unpinned process.
+//! Orders sharing that prefix share one packing (`PrefixClasses`): a
+//! job that any single group can hold is packed `κ` times, not `κ!`,
+//! and each distinct packing is polished at most once.
 
 use crate::cost::CostModel;
 use crate::delta::{polish, CostTables, Evaluation, SearchStats};
@@ -35,6 +42,7 @@ use geonet::SiteId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
+use std::collections::HashMap;
 
 /// How many group orders Algorithm 1 examines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,11 +168,14 @@ impl GeoMapper {
     }
 
     /// Run Algorithm 1 for one group order θ; returns the mapping `P^θ`.
+    /// `prefix` is the order's packing prefix ([`PrefixClasses`]): the
+    /// packing never fills a site of a later group.
     fn map_order(
         &self,
         problem: &MappingProblem,
         groups: &[Vec<SiteId>],
         order: &[usize],
+        prefix: usize,
         by_quantity: &[usize],
     ) -> Mapping {
         let n = problem.num_processes();
@@ -188,7 +199,7 @@ impl GeoMapper {
         let mut affinity = vec![0.0f64; n];
         let mut heap = AffinityHeap::with_capacity(n);
 
-        'outer: for &gi in order {
+        'outer: for (pos, &gi) in order.iter().enumerate() {
             let group = &groups[gi];
             // Line 8: one pass per site of the group; sites are taken in
             // decreasing order of available nodes (line 10), re-evaluated
@@ -198,6 +209,10 @@ impl GeoMapper {
                 if remaining == 0 {
                     break 'outer;
                 }
+                debug_assert!(
+                    pos < prefix,
+                    "order {order:?} packs group {pos}, past its prefix of {prefix}"
+                );
                 // Site with the largest number of available nodes.
                 let Some((slot, &site)) = group
                     .iter()
@@ -276,6 +291,63 @@ impl GeoMapper {
                 .collect(),
         )
     }
+}
+
+/// The orders of one search, grouped by the part of each order its
+/// packing reads. [`GeoMapper::map_order`] fills every site it visits
+/// to its free capacity, so it stops inside the first `k` groups of θ,
+/// where `k` is the shortest prefix whose free capacity holds every
+/// unpinned process; it never reaches θ's later groups. Orders with the
+/// same prefix `θ₁..θₖ` therefore get the same packing (and the same
+/// cost), and `k` is known before any packing runs.
+struct PrefixClasses {
+    /// The class of each order.
+    class_of: Vec<usize>,
+    /// Per class: its first order (the representative that is packed)
+    /// and the prefix length `k`.
+    reps: Vec<(usize, usize)>,
+}
+
+impl PrefixClasses {
+    fn new(problem: &MappingProblem, groups: &[Vec<SiteId>], orders: &[Vec<usize>]) -> Self {
+        let free = problem.free_capacities();
+        let group_free: Vec<usize> = groups
+            .iter()
+            .map(|g| g.iter().map(|s| free[s.index()]).sum())
+            .collect();
+        let unpinned = problem.constraints().iter().filter(|p| p.is_none()).count();
+        let mut class_by_prefix: HashMap<&[usize], usize> = HashMap::with_capacity(orders.len());
+        let mut class_of = Vec::with_capacity(orders.len());
+        let mut reps = Vec::new();
+        for (idx, order) in orders.iter().enumerate() {
+            let mut k = 0;
+            let mut held = 0;
+            while k < order.len() && held < unpinned {
+                held += group_free[order[k]];
+                k += 1;
+            }
+            let class = *class_by_prefix.entry(&order[..k]).or_insert_with(|| {
+                reps.push((idx, k));
+                reps.len() - 1
+            });
+            class_of.push(class);
+        }
+        Self { class_of, reps }
+    }
+}
+
+/// Processes by decreasing total communication quantity (ties by
+/// index) — line 9's seeding key, shared by all orders. Message counts
+/// are weighed at their latency-equivalent bytes.
+fn by_quantity(problem: &MappingProblem) -> Vec<usize> {
+    let quantities: Vec<f64> = problem
+        .partners()
+        .iter()
+        .map(|ps| ps.iter().map(|p| problem.edge_weight(p)).sum::<f64>())
+        .collect();
+    let mut order: Vec<usize> = (0..problem.num_processes()).collect();
+    order.sort_by(|&a, &b| quantities[b].total_cmp(&quantities[a]).then(a.cmp(&b)));
+    order
 }
 
 /// How many of the cheapest orders the hill-climb polishes (κ = 4 ⇒
@@ -377,67 +449,75 @@ impl Mapper for GeoMapper {
         metrics.counter("search.groups", groups.len() as u64);
         metrics.counter("search.orders_evaluated", orders.len() as u64);
 
-        // Global heaviest-communication ordering (line 9's key), shared
-        // by all orders.
-        let pattern = problem.pattern();
-        let mut by_quantity: Vec<usize> = (0..problem.num_processes()).collect();
-        let quantities: Vec<f64> = {
-            // comm_quantity(i) via the cached partner lists, with message
-            // counts weighed at their latency-equivalent bytes.
-            problem
-                .partners()
-                .iter()
-                .map(|ps| ps.iter().map(|p| problem.edge_weight(p)).sum::<f64>())
-                .collect()
-        };
-        debug_assert_eq!(quantities.len(), pattern.n());
-        by_quantity.sort_by(|&a, &b| quantities[b].total_cmp(&quantities[a]).then(a.cmp(&b)));
+        let by_quantity = by_quantity(problem);
+        let classes = PrefixClasses::new(problem, &groups, &orders);
+        metrics.counter("search.packings", classes.reps.len() as u64);
 
         let constraints = problem.constraints();
-        // One flat table build serves the whole order search: ranking all
-        // κ! candidate packings and every refinement sweep below.
+        // One flat table build serves the whole order search: ranking the
+        // candidate packings and every refinement sweep below.
         let tables = CostTables::build(problem, self.cost_model);
         // Packing time is accumulated across worker threads (CPU seconds,
         // not wall) and only when metrics are on — the disabled path
         // never reads the clock.
         let packing_nanos = std::sync::atomic::AtomicU64::new(0);
-        let evaluate = |(idx, order): (usize, &Vec<usize>)| {
+        let pack = |&(idx, prefix): &(usize, usize)| {
             let m = if metrics.enabled() {
                 let t0 = std::time::Instant::now();
-                let m = self.map_order(problem, &groups, order, &by_quantity);
+                let m = self.map_order(problem, &groups, &orders[idx], prefix, &by_quantity);
                 packing_nanos.fetch_add(
                     t0.elapsed().as_nanos() as u64,
                     std::sync::atomic::Ordering::Relaxed,
                 );
                 m
             } else {
-                self.map_order(problem, &groups, order, &by_quantity)
+                self.map_order(problem, &groups, &orders[idx], prefix, &by_quantity)
             };
-            (idx, tables.total(m.as_slice()), m)
+            (tables.total(m.as_slice()), m)
         };
 
-        let ranked = metrics.phase(tscope, "order_search", "phase.order_search", || {
-            let mut ranked: Vec<(usize, f64, Mapping)> = if self.parallel {
-                orders.par_iter().enumerate().map(evaluate).collect()
-            } else {
-                orders.iter().enumerate().map(evaluate).collect()
-            };
-            ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            ranked
-        });
+        // One packing per prefix class; every order is ranked by its
+        // class's cost, ties to the lower order index.
+        let (ranked, packings) =
+            metrics.phase(tscope, "order_search", "phase.order_search", || {
+                let packings: Vec<(f64, Mapping)> = if self.parallel {
+                    classes.reps.par_iter().map(pack).collect()
+                } else {
+                    classes.reps.iter().map(pack).collect()
+                };
+                let mut ranked: Vec<(usize, f64, usize)> = classes
+                    .class_of
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, &class)| (idx, packings[class].0, class))
+                    .collect();
+                ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                (ranked, packings)
+            });
         metrics.timing(
             "phase.packing",
             packing_nanos.load(std::sync::atomic::Ordering::Relaxed) as f64 * 1e-9,
         );
 
+        let mut packings: Vec<Option<Mapping>> =
+            packings.into_iter().map(|(_, m)| Some(m)).collect();
         if !self.refine {
-            return ranked.into_iter().next().expect("at least one order").2;
+            return packings[ranked[0].2].take().expect("at least one order");
         }
         // Polish only the few cheapest orders: the hill-climb gets a
         // handful of good multi-start seeds at a fraction of the cost of
-        // refining all κ! packings.
+        // refining all κ! packings. Within that window each class is
+        // polished once, from its first entry — the class's lowest
+        // index, since its entries share one cost. Polishing is
+        // deterministic, so the other entries would only repeat that
+        // result and lose the (cost, index) tie-break to it.
+        let top: Vec<(usize, Mapping)> = ranked
+            .iter()
+            .take(REFINE_TOP)
+            .filter_map(|&(idx, _, class)| packings[class].take().map(|m| (idx, m)))
+            .collect();
         let movable = |i: usize| constraints.pin_of(i).is_none();
-        let polish_order = |(idx, _, mut m): (usize, f64, Mapping)| {
+        let polish_order = |(idx, mut m): (usize, Mapping)| {
             // One trace track per polished order: the polishes run under
             // rayon, and interleaved spans on a shared track would break
             // Chrome's begin/end pairing.
@@ -459,14 +539,10 @@ impl Mapper for GeoMapper {
         };
         let polished: Vec<(usize, f64, Mapping, SearchStats)> =
             metrics.phase(tscope, "refinement", "phase.refinement", || {
-                let top = ranked.into_iter().take(REFINE_TOP);
                 if self.parallel {
-                    top.collect::<Vec<_>>()
-                        .into_par_iter()
-                        .map(polish_order)
-                        .collect()
+                    top.into_par_iter().map(polish_order).collect()
                 } else {
-                    top.map(polish_order).collect()
+                    top.into_iter().map(polish_order).collect()
                 }
             });
         if metrics.enabled() {
@@ -734,6 +810,79 @@ mod tests {
         let p = MappingProblem::unconstrained(pat, net);
         let m = GeoMapper::default().map(&p);
         assert!(m.as_slice().iter().all(|s| s.index() == 0));
+    }
+
+    /// The grouping `map` packs one representative per class for is
+    /// sound: every order's unrestricted packing equals its class
+    /// representative's prefix packing. Random problems over the 11
+    /// EC2 regions with pins and capacity slack, κ = 1..=5, both seeding
+    /// rules, exhaustive orders and sampled orders with repeats.
+    #[test]
+    fn orders_in_a_prefix_class_share_their_packing() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9EF1);
+        let (mut orders_seen, mut shared) = (0, 0);
+        for case in 0..24u64 {
+            let net =
+                presets::ec2_global_network(rng.random_range(2..6), InstanceType::M4Xlarge, case);
+            let n = rng.random_range(8..=net.total_nodes());
+            let pattern = RandomGraph {
+                n,
+                degree: 3,
+                max_bytes: 100_000,
+                seed: case,
+            }
+            .pattern();
+            let ratio = [0.0, 0.1, 0.3][case as usize % 3];
+            let pins = ConstraintVector::random(n, ratio, &net.capacities(), case);
+            let problem = MappingProblem::new(pattern, net, pins);
+            let by_quantity = by_quantity(&problem);
+            for kappa in 1..=5 {
+                let groups = group_sites(problem.network(), kappa, case);
+                for seeding in [Seeding::Heaviest, Seeding::Random] {
+                    for order_search in
+                        [OrderSearch::Exhaustive, OrderSearch::Random { samples: 30 }]
+                    {
+                        let mapper = GeoMapper {
+                            kappa,
+                            seed: case,
+                            seeding,
+                            order_search,
+                            ..GeoMapper::default()
+                        };
+                        let orders = mapper.orders(groups.len());
+                        let classes = PrefixClasses::new(&problem, &groups, &orders);
+                        let packed: Vec<Mapping> = classes
+                            .reps
+                            .iter()
+                            .map(|&(idx, k)| {
+                                mapper.map_order(&problem, &groups, &orders[idx], k, &by_quantity)
+                            })
+                            .collect();
+                        for (idx, order) in orders.iter().enumerate() {
+                            let full = mapper.map_order(
+                                &problem,
+                                &groups,
+                                order,
+                                order.len(),
+                                &by_quantity,
+                            );
+                            assert_eq!(
+                                full, packed[classes.class_of[idx]],
+                                "case {case}, kappa {kappa}, {seeding:?}, {order_search:?}, order {order:?}"
+                            );
+                        }
+                        orders_seen += orders.len();
+                        shared += orders.len() - classes.reps.len();
+                    }
+                }
+            }
+        }
+        // The sweep must exercise sharing, not only singleton classes.
+        assert!(
+            shared * 4 > orders_seen,
+            "{shared} of {orders_seen} orders shared a packing"
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::constraint::ConstraintVector;
 use crate::cost::{pair_cost, CostModel};
-use crate::delta::{best_improving_swap, sweep_hill_climb, CostTables, Evaluation};
+use crate::delta::{best_improving_swap, sweep_hill_climb, CostTables, Evaluation, SearchStats};
 use crate::geo::GeoMapper;
 use crate::mapping::Mapping;
 use crate::metrics::Metrics;
@@ -579,16 +579,19 @@ fn first_fit(lvl: &Level, caps: &[usize]) -> Option<Vec<SiteId>> {
 /// loads invariant, a capacity-checked move pass relocates whole
 /// vertices when a cheaper site has room. Small classes go through the
 /// exhaustive rayon best-swap scan, large ones through the partner-edge
-/// hill-climb.
+/// hill-climb. Returns the swap work of both (each best-swap scan is one
+/// exchange round) and the evaluator's α–β terms; relocations are not
+/// swaps and only show in `terms`.
 fn refine_level(
     problem: &MappingProblem,
     level: Option<&Level>,
     sites: &mut Vec<SiteId>,
     passes: usize,
     scope: TraceScope<'_>,
-) {
+) -> SearchStats {
+    let mut stats = SearchStats::default();
     if passes == 0 {
-        return;
+        return stats;
     }
     let caps = problem.network().capacities();
     let m = caps.len();
@@ -635,11 +638,14 @@ fn refine_level(
                 // uncoarsening pass).
                 let mut steps = class.len() * 2;
                 while steps > 0 {
-                    let (best, _) =
+                    let (best, evaluated) =
                         best_improving_swap(eval.as_ref(), class, IMPROVEMENT_THRESHOLD);
+                    stats.passes += 1;
+                    stats.swaps_evaluated += evaluated;
                     match best {
                         Some((a, b, _)) => {
                             eval.apply_swap(a, b);
+                            stats.swaps_accepted += 1;
                             scope.instant("swap");
                             improved = true;
                             steps -= 1;
@@ -649,10 +655,11 @@ fn refine_level(
                 }
             } else {
                 let movable = |i: usize| pins[i].is_none() && weights[i] == w;
-                let stats = sweep_hill_climb(eval.as_mut(), 1, &movable, &|_, _| true, scope);
-                if stats.swaps_accepted > 0 {
+                let sweep = sweep_hill_climb(eval.as_mut(), 1, &movable, &|_, _| true, scope);
+                if sweep.swaps_accepted > 0 {
                     improved = true;
                 }
+                stats.absorb(sweep);
             }
         }
         // Move pass: whole-vertex relocation gated on real capacity.
@@ -694,6 +701,8 @@ fn refine_level(
         prev_total = now;
     }
     *sites = eval.sites().to_vec();
+    stats.terms = eval.terms();
+    stats
 }
 
 /// The multilevel coarsen–map–refine solver. Implements [`Mapper`]; the
@@ -707,8 +716,9 @@ pub struct MultilevelMapper {
     /// matching RNG (xored, so the two streams stay independent).
     pub inner: GeoMapper,
     /// Observability handle: phase timings (`phase.coarsen` /
-    /// `phase.coarse_solve` / `phase.refine`) and per-level
-    /// `level.vertices` / `level.edges` counters, scoped `multilevel`;
+    /// `phase.coarse_solve` / `phase.refine`), per-level
+    /// `level.vertices` / `level.edges` counters and the uncoarsening
+    /// refiner's `search.*` counters, scoped `multilevel`;
     /// its trace gets `coarsen` / `coarse_solve` / `level` spans plus
     /// accepted `swap` / `move` instants on a `"search"/"Multilevel"`
     /// track.
@@ -778,27 +788,31 @@ impl Mapper for MultilevelMapper {
         // step finer; a final refinement always runs on the base problem
         // itself.
         let mut last_refined_edges = 0.0f64;
+        let mut refined = SearchStats::default();
         for k in (0..=start).rev() {
             scope.span_begin("level");
             let edges = hierarchy.levels[k].pattern.num_edges() as f64;
             if edges < REFINE_MIN_EDGES as f64 || edges >= REFINE_GROWTH * last_refined_edges {
-                metrics.timed("phase.refine", || {
+                refined.absorb(metrics.timed("phase.refine", || {
                     refine_level(
                         problem,
                         Some(&hierarchy.levels[k]),
                         &mut cur,
                         self.config.refine_passes,
                         scope,
-                    );
-                });
+                    )
+                }));
                 last_refined_edges = edges;
             }
             cur = hierarchy.project(k, &cur);
             scope.span_end("level");
         }
-        metrics.phase(scope, "level", "phase.refine", || {
-            refine_level(problem, None, &mut cur, self.config.refine_passes, scope);
-        });
+        refined.absorb(metrics.phase(scope, "level", "phase.refine", || {
+            refine_level(problem, None, &mut cur, self.config.refine_passes, scope)
+        }));
+        // The uncoarsening refiner's own work; the coarse solve's search
+        // counters stay under the inner mapper's scope.
+        refined.emit(&metrics);
 
         let mapping = Mapping::new(cur);
         debug_assert!(

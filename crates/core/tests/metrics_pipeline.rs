@@ -5,7 +5,10 @@
 
 use commgraph::apps::AppKind;
 use geomap_core::pipeline::{run, PipelineConfig};
-use geomap_core::{ConstraintVector, GeoMapper, Mapper, MappingProblem, MemorySink, Metrics};
+use geomap_core::{
+    ConstraintVector, GeoMapper, Mapper, MappingProblem, MemorySink, Metrics, MultilevelConfig,
+    MultilevelMapper,
+};
 use geonet::{presets, InstanceType};
 use std::sync::Arc;
 
@@ -125,17 +128,53 @@ fn geo_kmeans_128_search_counters_are_pinned() {
     assert_eq!(counter("search.swaps_evaluated"), 342_858);
     assert_eq!(counter("search.swaps_accepted"), 500);
     assert_eq!(counter("search.terms"), 1_962_642);
+    // No two of the 24 orders share a packing prefix.
+    assert_eq!(counter("search.orders_evaluated"), 24);
+    assert_eq!(counter("search.packings"), 24);
 }
 
-/// LU N=64 on 4×64 nodes fits one site, so every candidate swap is a
-/// same-site no-op: each of the 24 polished orders runs one pass that
-/// evaluates nothing, and the evaluators count only their construction
-/// (3 terms per CSR entry: 24 × 3 × 480).
+/// LU N=64 on 4×64 nodes fits one site, so each of the 24 orders packs
+/// only its first group: the orders fall into 4 prefix classes, one
+/// packing and one polish each. Every candidate swap is a same-site
+/// no-op, so each polish runs one pass that evaluates nothing, and the
+/// evaluators count only their construction (3 terms per CSR entry:
+/// 4 × 3 × 480).
 #[test]
 fn single_site_lu_64_does_no_pair_work() {
     let counter = geo_counters(AppKind::Lu, 64, 64, 0.0);
-    assert_eq!(counter("search.passes"), 24);
+    assert_eq!(counter("search.orders_evaluated"), 24);
+    assert_eq!(counter("search.packings"), 4);
+    assert_eq!(counter("search.passes"), 4);
     assert_eq!(counter("search.swaps_evaluated"), 0);
     assert_eq!(counter("search.swaps_accepted"), 0);
-    assert_eq!(counter("search.terms"), 34_560);
+    assert_eq!(counter("search.terms"), 5_760);
+}
+
+/// The multilevel solver's own refinement work lands under its
+/// `multilevel` scope: K-means N=256 on 4×64 nodes, coarsened to at
+/// most 32 vertices. The inner solver's metrics are off, so no
+/// `Geo-distributed` counter appears; the `multilevel` counters are the
+/// uncoarsening refiner's swap work and the α–β terms of its evaluators.
+#[test]
+fn multilevel_refine_counters_are_pinned() {
+    let net = presets::paper_ec2_network(64, InstanceType::M4Xlarge, 1);
+    let problem = MappingProblem::unconstrained(AppKind::KMeans.workload(256).pattern(), net);
+    let sink = Arc::new(MemorySink::new());
+    MultilevelMapper {
+        config: MultilevelConfig {
+            coarsen_cutoff: 32,
+            ..MultilevelConfig::default()
+        },
+        metrics: Metrics::new(sink.clone()),
+        ..MultilevelMapper::default()
+    }
+    .map(&problem);
+    let counter = |name: &str| sink.sum("multilevel", name) as u64;
+    assert_eq!(counter("levels"), 3);
+    assert_eq!(counter("search.passes"), 9);
+    assert_eq!(counter("search.swaps_evaluated"), 69_959);
+    assert_eq!(counter("search.swaps_accepted"), 45);
+    assert_eq!(counter("search.restarts"), 0);
+    assert_eq!(counter("search.terms"), 353_802);
+    assert!(!sink.has("Geo-distributed", "search.terms"));
 }

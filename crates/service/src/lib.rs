@@ -122,19 +122,6 @@ pub fn parse_constraints(n: usize, csv: &str) -> Result<ConstraintVector, String
     Ok(c)
 }
 
-/// Canonical `process,site` CSV for a constraint vector (pinned
-/// processes only) — the inverse of [`parse_constraints`] and the
-/// encoding cache fingerprints are taken over.
-pub fn constraints_csv(constraints: &ConstraintVector) -> String {
-    let mut s = String::from("process,site\n");
-    for (i, pin) in constraints.iter().enumerate() {
-        if let Some(site) = pin {
-            s.push_str(&format!("{},{}\n", i, site.index()));
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +131,7 @@ mod tests {
         let mut c = ConstraintVector::none(6);
         c.pin(0, SiteId(2));
         c.pin(5, SiteId(1));
-        assert_eq!(parse_constraints(6, &constraints_csv(&c)).unwrap(), c);
+        assert_eq!(parse_constraints(6, "process,site\n0,2\n5,1\n").unwrap(), c);
     }
 
     #[test]

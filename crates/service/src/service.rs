@@ -11,7 +11,10 @@
 //! (`geomap_core::pipeline::run_with_pattern`) and is bit-identical to
 //! it for the same seeds — verified by `tests/service_behavior.rs`:
 //!
-//! 1. parse + validate the embedded pattern/constraints CSV,
+//! 1. parse + validate the embedded pattern/constraints CSV — once per
+//!    problem text: two memos over the verbatim request fields map a
+//!    request (or, for new solver fields, its problem text) straight to
+//!    the cache keys below,
 //! 2. **result cache**: identical `(problem, algorithm, seed)` → the
 //!    stored mapping, no solve at all,
 //! 3. **problem cache**: identical `(network, calibration, pattern,
@@ -185,6 +188,15 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
+/// Feed a calibration spec's fields to a request-key hasher.
+fn hash_calibration(c: &CalibSpec, h: &mut DefaultHasher) {
+    c.days.hash(h);
+    c.probes_per_day.hash(h);
+    c.noise_cv.to_bits().hash(h);
+    c.loss_rate.to_bits().hash(h);
+    c.seed.hash(h);
+}
+
 /// The transport-independent mapping service.
 pub struct MappingService {
     network: SiteNetwork,
@@ -199,6 +211,15 @@ pub struct MappingService {
     /// straight to the cache keys. Only successfully validated requests
     /// are memoized — error paths always re-derive their message.
     request_memo: FingerprintCache<(u64, u64)>,
+    /// Raw problem-field fingerprint → `problem_key`: the second memo,
+    /// behind `request_memo`. It answers a request whose solver fields
+    /// are new but whose problem text already validated — the same
+    /// pattern under another solver seed, or a remap of a mapped
+    /// problem — so each problem text is parsed once per daemon (while
+    /// its entries stay cached).
+    problem_memo: FingerprintCache<u64>,
+    /// Pattern/constraints CSV parses run ([`MappingService::parses`]).
+    parses: AtomicU64,
     idempotent: FingerprintCache<Arc<IdemEntry>>,
     journal: LeaseJournal,
     inflight: Inflight,
@@ -222,6 +243,9 @@ impl MappingService {
     /// nodes the inventory tracks and whose calibration requests see).
     pub fn new(network: SiteNetwork, config: ServiceConfig) -> Self {
         let network_fp = Fingerprint::new().str(&netio::to_csv(&network)).finish();
+        let memo_capacity = config
+            .result_cache_capacity
+            .max(config.problem_cache_capacity);
         Self {
             inventory: ClusterInventory::with_clock(
                 network.capacities(),
@@ -229,11 +253,9 @@ impl MappingService {
             ),
             problems: FingerprintCache::new(config.problem_cache_capacity),
             results: FingerprintCache::new(config.result_cache_capacity),
-            request_memo: FingerprintCache::new(
-                config
-                    .result_cache_capacity
-                    .max(config.problem_cache_capacity),
-            ),
+            request_memo: FingerprintCache::new(memo_capacity),
+            problem_memo: FingerprintCache::new(memo_capacity),
+            parses: AtomicU64::new(0),
             idempotent: FingerprintCache::new(config.idempotency_cache_capacity),
             journal: LeaseJournal::new(Arc::clone(&config.clock)),
             inflight: Inflight::default(),
@@ -268,6 +290,13 @@ impl MappingService {
     /// The configuration this service runs with.
     pub fn config(&self) -> &ServiceConfig {
         &self.config
+    }
+
+    /// How many times this service parsed a request's pattern and
+    /// constraints CSV, failed parses included. The memos keep it at one
+    /// parse per distinct problem text while its entries stay cached.
+    pub fn parses(&self) -> u64 {
+        self.parses.load(Ordering::Relaxed)
     }
 
     /// The inventory (tests assert conservation through this).
@@ -422,24 +451,19 @@ impl MappingService {
             );
         }
         // Fast path: a request whose raw text already parsed, validated
-        // and produced cache keys skips the CSV parse and the canonical
-        // re-encoding entirely — on a result-cache hit the parse *was*
-        // the request. Keyed over the verbatim request fields (any
-        // formatting difference falls through to the slow path, whose
-        // canonical keys still unify it with its equivalents). This key
-        // never leaves the process, so it is std's SipHash, which reads
-        // a pattern CSV about 5x faster than the byte-wise FNV of the
-        // cache keys below — on a result hit, that hash was most of the
-        // work.
+        // and produced cache keys skips the CSV parse entirely — on a
+        // result-cache hit the parse *was* the request. Keyed over the
+        // verbatim request fields (any formatting difference falls
+        // through to the slow path, whose parsed-problem keys still
+        // unify it with its equivalents). This key never leaves the
+        // process, so it is std's SipHash, which reads a pattern CSV
+        // about 5x faster than a byte-wise FNV — on a result hit, that
+        // hash was most of the work.
         let raw_fp = {
             let mut h = DefaultHasher::new();
             self.network_fp.hash(&mut h);
             n.hash(&mut h);
-            m.calibration.days.hash(&mut h);
-            m.calibration.probes_per_day.hash(&mut h);
-            m.calibration.noise_cv.to_bits().hash(&mut h);
-            m.calibration.loss_rate.to_bits().hash(&mut h);
-            m.calibration.seed.hash(&mut h);
+            hash_calibration(&m.calibration, &mut h);
             m.pattern_csv.hash(&mut h);
             m.constraints_csv.hash(&mut h);
             m.algorithm.hash(&mut h);
@@ -455,32 +479,31 @@ impl MappingService {
         let (problem_key, result_key) = match self.request_memo.get(raw_fp) {
             Some(keys) => keys,
             None => {
-                let (pattern, constraints) = match self.parse_and_validate(
-                    &m.id,
+                // New solver fields; the problem text may still be known.
+                let text_fp = self.problem_text_fp(
                     n,
+                    &m.calibration,
                     &m.pattern_csv,
                     m.constraints_csv.as_deref(),
-                ) {
-                    Ok(pc) => pc,
-                    Err(resp) => return *resp,
+                );
+                let problem_key = match self.problem_memo.get(text_fp) {
+                    Some(key) => key,
+                    None => {
+                        let (pattern, constraints) = match self.parse_and_validate(
+                            &m.id,
+                            n,
+                            &m.pattern_csv,
+                            m.constraints_csv.as_deref(),
+                        ) {
+                            Ok(pc) => pc,
+                            Err(resp) => return *resp,
+                        };
+                        let key = self.problem_key(n, &m.calibration, &pattern, &constraints);
+                        self.problem_memo.insert(text_fp, key);
+                        parsed = Some((pattern, constraints));
+                        key
+                    }
                 };
-                // Cache keys over canonical encodings (the parsed
-                // pattern's own CSV, not the request text, so formatting
-                // differences still hit). `n` is fingerprinted
-                // explicitly: the pattern CSV lists only edges and the
-                // constraints CSV only pins, so neither encodes the rank
-                // count on its own.
-                let problem_key = Fingerprint::new()
-                    .u64(self.network_fp)
-                    .u64(n as u64)
-                    .u64(m.calibration.days as u64)
-                    .u64(m.calibration.probes_per_day as u64)
-                    .f64(m.calibration.noise_cv)
-                    .f64(m.calibration.loss_rate)
-                    .u64(m.calibration.seed)
-                    .str(&pattern.to_csv())
-                    .str(&crate::constraints_csv(&constraints))
-                    .finish();
                 // The multilevel spec is fingerprinted as (presence,
                 // values): the same problem solved direct and
                 // multilevel — or with different knobs — are different
@@ -497,7 +520,6 @@ impl MappingService {
                     .u64(m.multilevel.map_or(0, |ml| ml.refine_passes as u64))
                     .finish();
                 self.request_memo.insert(raw_fp, (problem_key, result_key));
-                parsed = Some((pattern, constraints));
                 (problem_key, result_key)
             }
         };
@@ -545,15 +567,11 @@ impl MappingService {
         } else {
             let (prepared, tier) = match self.problems.get(problem_key) {
                 Some(p) => {
-                    self.problem_hits.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.counter("cache.problem_hit", 1);
-                    scope.instant("cache.problem_hit");
+                    self.count_problem_hit(scope);
                     (p, CacheTier::Problem)
                 }
                 None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.counter("cache.miss", 1);
-                    scope.instant("cache.miss");
+                    self.count_miss(scope);
                     // A memo hit skipped the parse; a problem-cache miss
                     // is the one path that still needs the parsed
                     // pattern and constraints, so they materialize here
@@ -687,6 +705,7 @@ impl MappingService {
         pattern_csv: &str,
         constraints_csv: Option<&str>,
     ) -> Result<(CommPattern, ConstraintVector), Box<Response>> {
+        self.parses.fetch_add(1, Ordering::Relaxed);
         let pattern = CommPattern::from_csv(n, pattern_csv).map_err(|e| {
             Box::new(self.reject(id, ErrorCode::BadRequest, format!("bad pattern CSV: {e}")))
         })?;
@@ -704,6 +723,72 @@ impl MappingService {
             return Err(Box::new(self.reject(id, ErrorCode::BadRequest, e)));
         }
         Ok((pattern, constraints))
+    }
+
+    /// SipHash of the fields that define a problem, verbatim as the
+    /// request carries them — the `problem_memo` key. Text that differs
+    /// only in formatting hashes apart here and is unified by
+    /// [`MappingService::problem_key`] after its one parse.
+    fn problem_text_fp(
+        &self,
+        n: usize,
+        calibration: &CalibSpec,
+        pattern_csv: &str,
+        constraints_csv: Option<&str>,
+    ) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.network_fp.hash(&mut h);
+        n.hash(&mut h);
+        hash_calibration(calibration, &mut h);
+        pattern_csv.hash(&mut h);
+        constraints_csv.hash(&mut h);
+        h.finish()
+    }
+
+    /// The problem-cache key, shared by `map` and `remap`: the network,
+    /// the rank count (neither CSV encodes it), the calibration campaign
+    /// and the parsed problem — every edge as `(src, dst, bytes, msgs)`
+    /// bits and every pin — so requests that differ only in CSV
+    /// formatting, row order or split repeated rows share one entry.
+    /// SipHash: the key never leaves the process.
+    fn problem_key(
+        &self,
+        n: usize,
+        calibration: &CalibSpec,
+        pattern: &CommPattern,
+        constraints: &ConstraintVector,
+    ) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.network_fp.hash(&mut h);
+        n.hash(&mut h);
+        hash_calibration(calibration, &mut h);
+        // The edge count delimits the edges from the pins that follow.
+        pattern.num_edges().hash(&mut h);
+        for src in 0..pattern.n() {
+            for e in pattern.out_edges(src) {
+                (src, e.dst, e.bytes.to_bits(), e.msgs.to_bits()).hash(&mut h);
+            }
+        }
+        for (i, pin) in constraints.iter().enumerate() {
+            if let Some(site) = pin {
+                (i, site.index()).hash(&mut h);
+            }
+        }
+        h.finish()
+    }
+
+    /// Count a problem-cache hit (service counter, metric, trace instant).
+    fn count_problem_hit(&self, scope: TraceScope<'_>) {
+        self.problem_hits.fetch_add(1, Ordering::Relaxed);
+        self.metrics.counter("cache.problem_hit", 1);
+        scope.instant("cache.problem_hit");
+    }
+
+    /// Count a full cache miss (service counter, metric, trace instant).
+    fn count_miss(&self, scope: TraceScope<'_>) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.metrics.counter("cache.miss", 1);
+        scope.instant("cache.miss");
     }
 
     /// Run a calibration campaign and assemble the [`PreparedProblem`]
@@ -959,60 +1044,74 @@ impl MappingService {
                 "remap alpha must be finite and >= 0".into(),
             );
         }
-        let (pattern, constraints) =
-            match self.parse_and_validate(&r.id, n, &r.pattern_csv, r.constraints_csv.as_deref()) {
-                Ok(pc) => pc,
-                Err(resp) => return *resp,
-            };
         let start_sites: Vec<SiteId> = r.mapping.iter().map(|&s| SiteId(s)).collect();
-        if !constraints.satisfied_by(&start_sites) {
-            return self.reject(
+        let pins_violated = || {
+            self.reject(
                 &r.id,
                 ErrorCode::BadRequest,
                 "starting mapping violates its pin constraints".into(),
-            );
-        }
-        let start = Mapping::new(start_sites);
-
-        // Problem cache shared with `map`: identical key derivation, so
-        // remapping a pattern the daemon already calibrated reuses the
-        // estimate and the assembled problem.
-        let problem_key = Fingerprint::new()
-            .u64(self.network_fp)
-            .u64(n as u64)
-            .u64(r.calibration.days as u64)
-            .u64(r.calibration.probes_per_day as u64)
-            .f64(r.calibration.noise_cv)
-            .f64(r.calibration.loss_rate)
-            .u64(r.calibration.seed)
-            .str(&pattern.to_csv())
-            .str(&crate::constraints_csv(&constraints))
-            .finish();
-        let prepared = match self.problems.get(problem_key) {
+            )
+        };
+        // Problem cache shared with `map`, through the same memo and
+        // key: a remap of a problem the daemon already holds checks its
+        // pins against the held problem and skips the parse.
+        let text_fp = self.problem_text_fp(
+            n,
+            &r.calibration,
+            &r.pattern_csv,
+            r.constraints_csv.as_deref(),
+        );
+        let held = self
+            .problem_memo
+            .get(text_fp)
+            .and_then(|key| self.problems.get(key));
+        let prepared = match held {
             Some(p) => {
-                self.problem_hits.fetch_add(1, Ordering::Relaxed);
-                self.metrics.counter("cache.problem_hit", 1);
-                scope.instant("cache.problem_hit");
+                if !p.problem.constraints().satisfied_by(&start_sites) {
+                    return pins_violated();
+                }
+                self.count_problem_hit(scope);
                 p
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.metrics.counter("cache.miss", 1);
-                scope.instant("cache.miss");
-                let p = match self.calibrate_prepare(
+                let (pattern, constraints) = match self.parse_and_validate(
                     &r.id,
-                    pattern,
-                    constraints,
-                    &r.calibration,
-                    scope,
+                    n,
+                    &r.pattern_csv,
+                    r.constraints_csv.as_deref(),
                 ) {
-                    Ok(p) => p,
+                    Ok(pc) => pc,
                     Err(resp) => return *resp,
                 };
-                self.problems.insert(problem_key, p.clone());
-                p
+                let problem_key = self.problem_key(n, &r.calibration, &pattern, &constraints);
+                self.problem_memo.insert(text_fp, problem_key);
+                if !constraints.satisfied_by(&start_sites) {
+                    return pins_violated();
+                }
+                match self.problems.get(problem_key) {
+                    Some(p) => {
+                        self.count_problem_hit(scope);
+                        p
+                    }
+                    None => {
+                        self.count_miss(scope);
+                        let p = match self.calibrate_prepare(
+                            &r.id,
+                            pattern,
+                            constraints,
+                            &r.calibration,
+                            scope,
+                        ) {
+                            Ok(p) => p,
+                            Err(resp) => return *resp,
+                        };
+                        self.problems.insert(problem_key, p.clone());
+                        p
+                    }
+                }
             }
         };
+        let start = Mapping::new(start_sites);
 
         // Live capacity view: the free pool plus the caller's own
         // holdings (a site that is "full" counting the caller's current

@@ -15,7 +15,7 @@ use crate::util::{improvement_pct, mean, Csv, ExpContext};
 use baselines::{paper_mappers, RandomMapper};
 use commgraph::apps::AppKind;
 use geomap_core::{
-    cost, AllowedSites, ConstraintVector, GeoMapperMulti, Mapper, MappingProblem, Metrics,
+    cost, AllowedSites, ConstraintVector, GeoMapper, Mapper, MappingProblem, Metrics,
 };
 use geonet::presets::MultiCloud;
 use geonet::SiteId;
@@ -121,7 +121,7 @@ pub fn run_multicloud(ctx: &ExpContext) {
     for i in 0..eu_processes {
         allowed.restrict(i, &eu_sites);
     }
-    let mapping = GeoMapperMulti::new(allowed.clone()).map(&problem);
+    let mapping = GeoMapper::with_allowed(allowed.clone()).map(&problem);
     assert!(allowed.satisfied_by(mapping.as_slice()));
     let base = cost(&problem, &RandomMapper::with_seed(ctx.seed).map(&problem));
     let multi = cost(&problem, &mapping);

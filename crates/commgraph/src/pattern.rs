@@ -396,7 +396,8 @@ impl CommPattern {
 
     /// Parse a pattern from the [`CommPattern::to_csv`] edge-list format
     /// over `n` processes (e.g. a CYPRESS dump converted by the user).
-    /// Repeated `src,dst` rows accumulate.
+    /// Repeated `src,dst` rows accumulate. Ranks are whole numbers below
+    /// `n`; traffic is finite, with `bytes ≥ 0` and `msgs > 0`.
     pub fn from_csv(n: usize, csv: &str) -> Result<CommPattern, String> {
         let mut lines = csv.lines().enumerate();
         let (_, header) = lines.next().ok_or("empty input")?;
@@ -424,17 +425,15 @@ impl CommPattern {
                     line.split(',').count()
                 ));
             };
-            let parse = |s: &str, what: &str| -> Result<f64, String> {
-                s.trim()
-                    .parse::<f64>()
-                    .map_err(|e| format!("line {}: bad {what} {s:?}: {e}", lineno + 1))
-            };
-            let src = parse(f0, "src")? as usize;
-            let dst = parse(f1, "dst")? as usize;
-            let bytes = parse(f2, "bytes")?;
-            let msgs = parse(f3, "msgs")?;
+            let src: usize = csv_field(f0, "src", lineno)?;
+            let dst: usize = csv_field(f1, "dst", lineno)?;
+            let bytes: f64 = csv_field(f2, "bytes", lineno)?;
+            let msgs: f64 = csv_field(f3, "msgs", lineno)?;
             if src >= n || dst >= n {
                 return Err(format!("line {}: rank out of range for n={n}", lineno + 1));
+            }
+            if !bytes.is_finite() || !msgs.is_finite() {
+                return Err(format!("line {}: non-finite traffic", lineno + 1));
             }
             if bytes < 0.0 || msgs <= 0.0 {
                 return Err(format!("line {}: non-positive traffic", lineno + 1));
@@ -474,6 +473,16 @@ impl CommPattern {
             total_msgs: self.total_msgs * factor,
         }
     }
+}
+
+/// One trimmed CSV field of (0-based) line `lineno`, parsed as `T`.
+fn csv_field<T: std::str::FromStr>(s: &str, what: &str, lineno: usize) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    s.trim()
+        .parse()
+        .map_err(|e| format!("line {}: bad {what} {s:?}: {e}", lineno + 1))
 }
 
 #[cfg(test)]
@@ -609,6 +618,35 @@ mod tests {
         assert!(CommPattern::from_csv(2, "src,dst,bytes,msgs\n0,zz,5,1\n")
             .unwrap_err()
             .contains("bad dst"));
+    }
+
+    #[test]
+    fn csv_ranks_are_whole_numbers() {
+        for rank in ["-1", "1.7", "NaN", "inf"] {
+            let csv = format!("src,dst,bytes,msgs\n{rank},1,5,1\n");
+            let err = CommPattern::from_csv(2, &csv).unwrap_err();
+            assert!(err.starts_with("line 2: bad src"), "{rank}: {err}");
+        }
+        let err = CommPattern::from_csv(2, "src,dst,bytes,msgs\n0,-1,5,1\n").unwrap_err();
+        assert!(err.starts_with("line 2: bad dst"), "{err}");
+    }
+
+    #[test]
+    fn csv_traffic_must_be_finite() {
+        for (bytes, msgs) in [
+            ("NaN", "1"),
+            ("5", "NaN"),
+            ("inf", "1"),
+            ("5", "inf"),
+            ("1e400", "1"),
+        ] {
+            let csv = format!("src,dst,bytes,msgs\n0,1,5,1\n1,0,{bytes},{msgs}\n");
+            assert_eq!(
+                CommPattern::from_csv(2, &csv).unwrap_err(),
+                "line 3: non-finite traffic",
+                "bytes {bytes}, msgs {msgs}"
+            );
+        }
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! constrained processes are placed first (lines 4–6) and contribute to
 //! the packing affinities.
 //!
+//! The paper's multi-site extension (§3.1's future work) is a parameter
+//! of the same search: with [`GeoMapper::with_allowed`], a site's seed
+//! and its packing are drawn only from processes whose [`AllowedSites`]
+//! set permits that site, and processes a restricted packing strands are
+//! finished by augmenting paths. A pin is a singleton set.
+//!
 //! The paper quotes `O(κ!·N²)`; with a lazy affinity max-heap one
 //! packing is `O((N + E)·log N)`, so the whole search is
 //! `O(κ!·(N + E)·log N)` plus the bounded refinement. The `κ!` orders
@@ -29,12 +35,15 @@
 //! Orders sharing that prefix share one packing (`PrefixClasses`): a
 //! job that any single group can hold is packed `κ` times, not `κ!`,
 //! and each distinct packing is polished at most once.
+//! Restricted sets can leave a site part-filled, so there every order
+//! is its own class.
 
 use crate::cost::CostModel;
 use crate::delta::{polish, CostTables, Evaluation, SearchStats};
 use crate::grouping::group_sites;
 use crate::mapping::Mapping;
 use crate::metrics::Metrics;
+use crate::multisite::{repair, AllowedSites};
 use crate::problem::MappingProblem;
 use crate::trace::TraceScope;
 use crate::Mapper;
@@ -109,6 +118,14 @@ pub struct GeoMapper {
     /// [`Evaluation::FullRecompute`] is the `O(E)`-per-candidate oracle
     /// it is verified against (`tests/delta_equivalence.rs`).
     pub evaluation: Evaluation,
+    /// Per-process allowed-site sets (the multi-site extension); `None`
+    /// places every unpinned process anywhere.
+    ///
+    /// # Panics
+    /// [`Mapper::map`] panics when the sets do not cover every process,
+    /// a pin lies outside its process's set, or no assignment satisfies
+    /// the sets within capacities.
+    pub allowed: Option<AllowedSites>,
     /// Observability handle. [`Metrics::off`] (the default) keeps the
     /// search free of any instrumentation cost. An enabled sink
     /// receives phase timings (`phase.grouping` / `phase.order_search` /
@@ -132,6 +149,7 @@ impl Default for GeoMapper {
             cost_model: CostModel::Full,
             refine: true,
             evaluation: Evaluation::Incremental,
+            allowed: None,
             metrics: Metrics::off(),
         }
     }
@@ -142,6 +160,14 @@ impl GeoMapper {
     pub fn with_kappa(kappa: usize) -> Self {
         Self {
             kappa,
+            ..Self::default()
+        }
+    }
+
+    /// The paper's configuration restricted to `allowed`.
+    pub fn with_allowed(allowed: AllowedSites) -> Self {
+        Self {
+            allowed: Some(allowed),
             ..Self::default()
         }
     }
@@ -169,7 +195,8 @@ impl GeoMapper {
 
     /// Run Algorithm 1 for one group order θ; returns the mapping `P^θ`.
     /// `prefix` is the order's packing prefix ([`PrefixClasses`]): the
-    /// packing never fills a site of a later group.
+    /// packing never fills a site of a later group. `allowed` holds the
+    /// pin-merged sets, if any.
     fn map_order(
         &self,
         problem: &MappingProblem,
@@ -177,6 +204,7 @@ impl GeoMapper {
         order: &[usize],
         prefix: usize,
         by_quantity: &[usize],
+        allowed: Option<&AllowedSites>,
     ) -> Mapping {
         let n = problem.num_processes();
         let partners = problem.partners();
@@ -223,6 +251,9 @@ impl GeoMapper {
                     break;
                 };
                 site_done[slot] = true;
+                let eligible = |t: usize, selected: &[bool]| {
+                    !selected[t] && allowed.is_none_or(|a| a.permits(t, site))
+                };
 
                 // Packing affinity starts from the processes already in
                 // this site (constrained ones).
@@ -235,15 +266,19 @@ impl GeoMapper {
                     }
                 }
 
-                // Line 9: seed process.
+                // Line 9: seed process. A site no eligible process may
+                // enter is left for the next one.
                 let seed_proc = match self.seeding {
-                    Seeding::Heaviest => by_quantity.iter().copied().find(|&t| !selected[t]),
+                    Seeding::Heaviest => by_quantity
+                        .iter()
+                        .copied()
+                        .find(|&t| eligible(t, &selected)),
                     Seeding::Random => {
-                        let free: Vec<usize> = (0..n).filter(|&t| !selected[t]).collect();
+                        let free: Vec<usize> = (0..n).filter(|&t| eligible(t, &selected)).collect();
                         (!free.is_empty()).then(|| free[rng.random_range(0..free.len())])
                     }
                 };
-                let Some(t0) = seed_proc else { break 'outer };
+                let Some(t0) = seed_proc else { continue };
                 place(
                     t0,
                     site,
@@ -262,7 +297,7 @@ impl GeoMapper {
                 // 8192-process simulations.
                 heap.rebuild(&affinity, &selected);
                 while free_caps[site.index()] > 0 && remaining > 0 {
-                    let Some(t) = heap.pop_best(&affinity, &selected) else {
+                    let Some(t) = heap.pop_where(&affinity, |t| eligible(t, &selected)) else {
                         break;
                     };
                     place(
@@ -283,7 +318,13 @@ impl GeoMapper {
             }
         }
 
-        debug_assert_eq!(remaining, 0, "capacity checked at problem construction");
+        if remaining > 0 {
+            // Greedy choices can break Hall's condition on a feasible
+            // restricted instance; augmenting paths place the stranded
+            // processes without moving a pin (a singleton set).
+            let allowed = allowed.expect("an unrestricted packing places every process");
+            repair(&mut assignment, allowed, &problem.capacities());
+        }
         Mapping::new(
             assignment
                 .into_iter()
@@ -299,7 +340,9 @@ impl GeoMapper {
 /// where `k` is the shortest prefix whose free capacity holds every
 /// unpinned process; it never reaches θ's later groups. Orders with the
 /// same prefix `θ₁..θₖ` therefore get the same packing (and the same
-/// cost), and `k` is known before any packing runs.
+/// cost), and `k` is known before any packing runs. When some unpinned
+/// process has a restricted set, a site can be left part-filled and the
+/// rule fails, so every order gets its whole length as its prefix.
 struct PrefixClasses {
     /// The class of each order.
     class_of: Vec<usize>,
@@ -309,20 +352,31 @@ struct PrefixClasses {
 }
 
 impl PrefixClasses {
-    fn new(problem: &MappingProblem, groups: &[Vec<SiteId>], orders: &[Vec<usize>]) -> Self {
+    fn new(
+        problem: &MappingProblem,
+        groups: &[Vec<SiteId>],
+        orders: &[Vec<usize>],
+        allowed: Option<&AllowedSites>,
+    ) -> Self {
         let free = problem.free_capacities();
         let group_free: Vec<usize> = groups
             .iter()
             .map(|g| g.iter().map(|s| free[s.index()]).sum())
             .collect();
-        let unpinned = problem.constraints().iter().filter(|p| p.is_none()).count();
+        let constraints = problem.constraints();
+        let unpinned = constraints.iter().filter(|p| p.is_none()).count();
+        let restricted = allowed.is_some_and(|a| {
+            (0..problem.num_processes())
+                .any(|i| constraints.pin_of(i).is_none() && a.set_of(i).is_some())
+        });
+        let held_needed = if restricted { usize::MAX } else { unpinned };
         let mut class_by_prefix: HashMap<&[usize], usize> = HashMap::with_capacity(orders.len());
         let mut class_of = Vec::with_capacity(orders.len());
         let mut reps = Vec::new();
         for (idx, order) in orders.iter().enumerate() {
             let mut k = 0;
             let mut held = 0;
-            while k < order.len() && held < unpinned {
+            while k < order.len() && held < held_needed {
                 held += group_free[order[k]];
                 k += 1;
             }
@@ -352,18 +406,18 @@ fn by_quantity(problem: &MappingProblem) -> Vec<usize> {
 
 /// How many of the cheapest orders the hill-climb polishes (κ = 4 ⇒
 /// all 24; larger κ keeps refinement bounded).
-pub(crate) const REFINE_TOP: usize = 24;
+const REFINE_TOP: usize = 24;
 
 /// Lazy max-heap over non-negative affinities with lowest-index
 /// tie-breaking (the same pick the paper's linear argmax makes, in
 /// `O(log N)`). Stale entries — left behind whenever an affinity grows —
 /// are discarded on pop by comparing against the live affinity value.
-pub(crate) struct AffinityHeap {
+struct AffinityHeap {
     heap: std::collections::BinaryHeap<(u64, std::cmp::Reverse<usize>)>,
 }
 
 impl AffinityHeap {
-    pub(crate) fn with_capacity(n: usize) -> Self {
+    fn with_capacity(n: usize) -> Self {
         Self {
             heap: std::collections::BinaryHeap::with_capacity(2 * n),
         }
@@ -377,7 +431,7 @@ impl AffinityHeap {
     }
 
     /// Reset to one entry per unselected process.
-    pub(crate) fn rebuild(&mut self, affinity: &[f64], selected: &[bool]) {
+    fn rebuild(&mut self, affinity: &[f64], selected: &[bool]) {
         self.heap.clear();
         for (t, (&a, &sel)) in affinity.iter().zip(selected).enumerate() {
             if !sel {
@@ -388,33 +442,19 @@ impl AffinityHeap {
 
     /// Record that `t`'s affinity grew to `a`.
     #[inline]
-    pub(crate) fn push(&mut self, t: usize, a: f64) {
+    fn push(&mut self, t: usize, a: f64) {
         self.heap.push((Self::key(a), std::cmp::Reverse(t)));
     }
 
-    /// Highest-affinity unselected process, or `None` when exhausted.
-    pub(crate) fn pop_best(&mut self, affinity: &[f64], selected: &[bool]) -> Option<usize> {
-        self.pop_where(affinity, |t| !selected[t])
-    }
-
-    /// Highest-affinity process satisfying `valid` (used by the
-    /// multi-site variant to enforce allowed sets).
-    pub(crate) fn pop_where(
-        &mut self,
-        affinity: &[f64],
-        valid: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
+    /// Highest-affinity process satisfying `valid`, or `None` when
+    /// exhausted. Live entries that fail `valid` (selected, or not
+    /// allowed on the site being filled) are dropped; the next site's
+    /// `rebuild` starts afresh.
+    fn pop_where(&mut self, affinity: &[f64], valid: impl Fn(usize) -> bool) -> Option<usize> {
         while let Some((k, std::cmp::Reverse(t))) = self.heap.pop() {
-            if affinity[t].to_bits() != k {
-                continue; // stale: a newer entry carries the live value
-            }
-            if valid(t) {
+            if affinity[t].to_bits() == k && valid(t) {
                 return Some(t);
             }
-            // Valid key but filtered out (e.g. site not allowed): the
-            // entry must come back for the next site, so re-queueing is
-            // the caller's job via rebuild(); here we just drop it for
-            // this site's fill.
         }
         None
     }
@@ -440,6 +480,8 @@ impl Mapper for GeoMapper {
     }
 
     fn map(&self, problem: &MappingProblem) -> Mapping {
+        let allowed = self.allowed.as_ref().map(|a| a.with_pins(problem));
+        let allowed = allowed.as_ref();
         let metrics = self.metrics.scoped(self.name());
         let tscope = metrics.track("search", self.name());
         let groups = metrics.phase(tscope, "grouping", "phase.grouping", || {
@@ -450,7 +492,7 @@ impl Mapper for GeoMapper {
         metrics.counter("search.orders_evaluated", orders.len() as u64);
 
         let by_quantity = by_quantity(problem);
-        let classes = PrefixClasses::new(problem, &groups, &orders);
+        let classes = PrefixClasses::new(problem, &groups, &orders, allowed);
         metrics.counter("search.packings", classes.reps.len() as u64);
 
         let constraints = problem.constraints();
@@ -462,16 +504,26 @@ impl Mapper for GeoMapper {
         // never reads the clock.
         let packing_nanos = std::sync::atomic::AtomicU64::new(0);
         let pack = |&(idx, prefix): &(usize, usize)| {
+            let pack_order = || {
+                self.map_order(
+                    problem,
+                    &groups,
+                    &orders[idx],
+                    prefix,
+                    &by_quantity,
+                    allowed,
+                )
+            };
             let m = if metrics.enabled() {
                 let t0 = std::time::Instant::now();
-                let m = self.map_order(problem, &groups, &orders[idx], prefix, &by_quantity);
+                let m = pack_order();
                 packing_nanos.fetch_add(
                     t0.elapsed().as_nanos() as u64,
                     std::sync::atomic::Ordering::Relaxed,
                 );
                 m
             } else {
-                self.map_order(problem, &groups, &orders[idx], prefix, &by_quantity)
+                pack_order()
             };
             (tables.total(m.as_slice()), m)
         };
@@ -526,13 +578,18 @@ impl Mapper for GeoMapper {
             } else {
                 TraceScope::off()
             };
+            // The set test only where sets exist.
+            let permits: &dyn Fn(usize, SiteId) -> bool = match allowed {
+                Some(sets) => &|i, s| sets.permits(i, s),
+                None => &|_, _| true,
+            };
             let stats = polish(
                 &tables,
                 self.evaluation,
                 &mut m,
                 50,
                 &movable,
-                &|_, _| true,
+                permits,
                 scope,
             );
             (idx, tables.total(m.as_slice()), m, stats)
@@ -645,7 +702,7 @@ mod tests {
             let expect = (0..n)
                 .filter(|&t| !selected[t])
                 .max_by(|&a, &b| affinity[a].total_cmp(&affinity[b]).then(b.cmp(&a)));
-            let got = heap.pop_best(&affinity, &selected);
+            let got = heap.pop_where(&affinity, |t| !selected[t]);
             assert_eq!(got, expect, "round {round}");
             if let Some(t) = got {
                 selected[t] = true;
@@ -661,7 +718,7 @@ mod tests {
         let selected = vec![true, true];
         let mut heap = AffinityHeap::with_capacity(2);
         heap.rebuild(&affinity, &selected);
-        assert_eq!(heap.pop_best(&affinity, &selected), None);
+        assert_eq!(heap.pop_where(&affinity, |t| !selected[t]), None);
     }
 
     #[test]
@@ -816,7 +873,9 @@ mod tests {
     /// sound: every order's unrestricted packing equals its class
     /// representative's prefix packing. Random problems over the 11
     /// EC2 regions with pins and capacity slack, κ = 1..=5, both seeding
-    /// rules, exhaustive orders and sampled orders with repeats.
+    /// rules, exhaustive orders and sampled orders with repeats. With
+    /// restricted sets on unpinned processes every order is its own
+    /// class (repeats aside) over its whole length.
     #[test]
     fn orders_in_a_prefix_class_share_their_packing() {
         use rand::{RngExt, SeedableRng};
@@ -837,6 +896,23 @@ mod tests {
             let pins = ConstraintVector::random(n, ratio, &net.capacities(), case);
             let problem = MappingProblem::new(pattern, net, pins);
             let by_quantity = by_quantity(&problem);
+            // Sets that a plain packing satisfies, so the instance is
+            // feasible: a few unpinned processes may use their witness
+            // site or one random site.
+            let witness = GeoMapper {
+                refine: false,
+                ..GeoMapper::default()
+            }
+            .map(&problem);
+            let mut set_rng = rand::rngs::StdRng::seed_from_u64(case);
+            let mut sets = AllowedSites::unrestricted(n);
+            for i in (0..n).filter(|&i| problem.constraints().pin_of(i).is_none()) {
+                if sets.restricted_ratio() == 0.0 || set_rng.random_range(0..2) == 0 {
+                    let other = SiteId(set_rng.random_range(0..problem.num_sites()));
+                    sets.restrict(i, &[witness.site_of(i), other]);
+                }
+            }
+            let sets = sets.with_pins(&problem);
             for kappa in 1..=5 {
                 let groups = group_sites(problem.network(), kappa, case);
                 for seeding in [Seeding::Heaviest, Seeding::Random] {
@@ -851,29 +927,51 @@ mod tests {
                             ..GeoMapper::default()
                         };
                         let orders = mapper.orders(groups.len());
-                        let classes = PrefixClasses::new(&problem, &groups, &orders);
-                        let packed: Vec<Mapping> = classes
-                            .reps
-                            .iter()
-                            .map(|&(idx, k)| {
-                                mapper.map_order(&problem, &groups, &orders[idx], k, &by_quantity)
-                            })
-                            .collect();
-                        for (idx, order) in orders.iter().enumerate() {
-                            let full = mapper.map_order(
-                                &problem,
-                                &groups,
-                                order,
-                                order.len(),
-                                &by_quantity,
-                            );
-                            assert_eq!(
-                                full, packed[classes.class_of[idx]],
-                                "case {case}, kappa {kappa}, {seeding:?}, {order_search:?}, order {order:?}"
-                            );
+                        for allowed in [None, Some(&sets)] {
+                            let classes = PrefixClasses::new(&problem, &groups, &orders, allowed);
+                            let packed: Vec<Mapping> = classes
+                                .reps
+                                .iter()
+                                .map(|&(idx, k)| {
+                                    mapper.map_order(
+                                        &problem,
+                                        &groups,
+                                        &orders[idx],
+                                        k,
+                                        &by_quantity,
+                                        allowed,
+                                    )
+                                })
+                                .collect();
+                            for (idx, order) in orders.iter().enumerate() {
+                                let full = mapper.map_order(
+                                    &problem,
+                                    &groups,
+                                    order,
+                                    order.len(),
+                                    &by_quantity,
+                                    allowed,
+                                );
+                                assert_eq!(
+                                    full, packed[classes.class_of[idx]],
+                                    "case {case}, kappa {kappa}, {seeding:?}, {order_search:?}, order {order:?}, restricted {}",
+                                    allowed.is_some()
+                                );
+                            }
+                            if allowed.is_some() {
+                                let mut distinct = orders.clone();
+                                distinct.sort();
+                                distinct.dedup();
+                                assert_eq!(classes.reps.len(), distinct.len(), "case {case}");
+                                assert!(classes
+                                    .reps
+                                    .iter()
+                                    .all(|&(idx, k)| k == orders[idx].len()));
+                            } else {
+                                orders_seen += orders.len();
+                                shared += orders.len() - classes.reps.len();
+                            }
                         }
-                        orders_seen += orders.len();
-                        shared += orders.len() - classes.reps.len();
                     }
                 }
             }

@@ -60,7 +60,7 @@ pub use metrics::{
     JsonLinesSink, MemorySink, MetricKind, MetricRecord, Metrics, MetricsSink, NullSink,
 };
 pub use multilevel::{Hierarchy, Level, MultilevelConfig, MultilevelMapper};
-pub use multisite::{AllowedSites, GeoMapperMulti};
+pub use multisite::AllowedSites;
 pub use problem::MappingProblem;
 pub use remap::{cold_resolve, repair, repair_with_tables, RemapConfig, RemapOutcome};
 pub use trace::{

@@ -11,19 +11,13 @@
 //! Feasibility is no longer a per-site counting argument — it is a
 //! capacity-aware bipartite matching problem (Hall's condition over the
 //! allowed sets), solved here with Kuhn's augmenting-path algorithm.
-//! [`GeoMapperMulti`] runs Algorithm 1 with set-aware seeding/packing
-//! and falls back to augmenting paths when a greedy placement would
-//! strand a process.
+//! [`GeoMapper::with_allowed`](crate::GeoMapper::with_allowed) runs
+//! Algorithm 1 with set-aware seeding/packing and falls back to
+//! augmenting paths when a greedy placement would strand a process, so
+//! it succeeds on **every feasible instance**.
 
-use crate::delta::{polish, CostTables, SearchStats};
-use crate::geo::{GeoMapper, Seeding};
-use crate::grouping::group_sites;
-use crate::mapping::Mapping;
 use crate::problem::MappingProblem;
 use geonet::SiteId;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 
 /// Per-process allowed-site sets. `None` means "anywhere".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,6 +106,32 @@ impl AllowedSites {
     pub fn feasible_assignment(&self, capacities: &[usize]) -> Option<Vec<SiteId>> {
         Matcher::new(self, capacities).solve()
     }
+
+    /// These sets with `problem`'s pins merged in as singleton sets.
+    ///
+    /// # Panics
+    /// Panics if the sets do not cover every process, a pin lies outside
+    /// its process's set, or the instance is infeasible (no assignment
+    /// satisfies the sets within capacities).
+    pub(crate) fn with_pins(&self, problem: &MappingProblem) -> Self {
+        let n = problem.num_processes();
+        assert_eq!(self.len(), n, "allowed sets must cover every process");
+        let mut merged = self.clone();
+        for i in 0..n {
+            if let Some(pin) = problem.constraints().pin_of(i) {
+                assert!(
+                    merged.permits(i, pin),
+                    "process {i} pinned to {pin} outside its allowed set"
+                );
+                merged.restrict(i, &[pin]);
+            }
+        }
+        assert!(
+            merged.feasible_assignment(&problem.capacities()).is_some(),
+            "infeasible multi-site constraint instance"
+        );
+        merged
+    }
 }
 
 /// Kuhn's algorithm over processes × sites with site capacities.
@@ -152,18 +172,13 @@ impl<'a> Matcher<'a> {
                 self.place(i, j);
                 return true;
             }
-            // Try to relocate one current occupant of j elsewhere.
+            // Try to relocate one current occupant of j elsewhere; `place`
+            // takes it off j, which frees the slot for i.
             for k in 0..self.used[j].len() {
                 let occupant = self.used[j][k];
                 if self.augment(occupant, visited_sites) {
-                    // occupant moved; j freed one slot (remove handled in
-                    // place() via retain below — occupant may have been
-                    // re-placed on j? no: j is visited).
-                    self.used[j].retain(|&p| p != occupant || self.assignment[p] == j);
-                    if self.used[j].len() < self.caps[j] {
-                        self.place(i, j);
-                        return true;
-                    }
+                    self.place(i, j);
+                    return true;
                 }
             }
         }
@@ -195,242 +210,10 @@ impl<'a> Matcher<'a> {
     }
 }
 
-/// Algorithm 1 generalized to allowed-site sets.
-///
-/// The greedy packing only offers a site to processes whose sets permit
-/// it; if the greedy pass strands processes (greedy choices can violate
-/// Hall's condition even on feasible instances), the stranded tail is
-/// placed by augmenting paths starting from the greedy partial
-/// assignment, so the mapper succeeds on **every feasible instance**.
-#[derive(Debug, Clone)]
-pub struct GeoMapperMulti {
-    /// The underlying Geo-distributed configuration (κ, seed, order
-    /// search, parallelism, objective).
-    pub base: GeoMapper,
-    /// The allowed-site sets.
-    pub allowed: AllowedSites,
-}
-
-impl GeoMapperMulti {
-    /// Create with the paper-default base configuration.
-    pub fn new(allowed: AllowedSites) -> Self {
-        Self {
-            base: GeoMapper::default(),
-            allowed,
-        }
-    }
-
-    /// Map `problem` honouring the allowed sets (single-site constraints
-    /// in `problem` are honoured too — a pin is an implicit singleton
-    /// set).
-    ///
-    /// # Panics
-    /// Panics if the instance is infeasible (no assignment satisfies the
-    /// sets within capacities) or the set vector length mismatches.
-    pub fn map(&self, problem: &MappingProblem) -> Mapping {
-        let n = problem.num_processes();
-        assert_eq!(
-            self.allowed.len(),
-            n,
-            "allowed sets must cover every process"
-        );
-        // Merge single-site pins into the allowed sets.
-        let mut allowed = self.allowed.clone();
-        for i in 0..n {
-            if let Some(pin) = problem.constraints().pin_of(i) {
-                assert!(
-                    allowed.permits(i, pin),
-                    "process {i} pinned to {pin} outside its allowed set"
-                );
-                allowed.restrict(i, &[pin]);
-            }
-        }
-        let caps = problem.capacities();
-        assert!(
-            allowed.feasible_assignment(&caps).is_some(),
-            "infeasible multi-site constraint instance"
-        );
-
-        // Observability mirrors GeoMapper::map, under its own scope so a
-        // pipeline running both stays distinguishable.
-        let metrics = self.base.metrics.scoped("Geo-multi");
-        let groups = metrics.timed("phase.grouping", || {
-            group_sites(problem.network(), self.base.kappa, self.base.seed)
-        });
-        let orders = crate::geo::permutations(groups.len());
-        metrics.counter("search.groups", groups.len() as u64);
-        metrics.counter("search.orders_evaluated", orders.len() as u64);
-        let quantities: Vec<f64> = problem
-            .partners()
-            .iter()
-            .map(|ps| ps.iter().map(|p| problem.edge_weight(p)).sum::<f64>())
-            .collect();
-        let mut by_quantity: Vec<usize> = (0..n).collect();
-        by_quantity.sort_by(|&a, &b| quantities[b].total_cmp(&quantities[a]).then(a.cmp(&b)));
-
-        // Mirror GeoMapper::map exactly: rank all orders unrefined, then
-        // polish the cheapest few (the order search doubles as a
-        // multi-start for the hill-climb).
-        let tables = CostTables::build(problem, self.base.cost_model);
-        let evaluate = |(idx, order): (usize, &Vec<usize>)| {
-            let m = self.map_order(problem, &allowed, &groups, order, &by_quantity);
-            let c = tables.total(m.as_slice());
-            (idx, c, m)
-        };
-        let ranked = metrics.timed("phase.order_search", || {
-            let mut ranked: Vec<(usize, f64, Mapping)> = if self.base.parallel {
-                orders.par_iter().enumerate().map(evaluate).collect()
-            } else {
-                orders.iter().enumerate().map(evaluate).collect()
-            };
-            ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            ranked
-        });
-        if !self.base.refine {
-            return ranked.into_iter().next().expect("at least one order").2;
-        }
-        let polish_order = |(idx, _, mut m): (usize, f64, Mapping)| {
-            let permits = |i: usize, s: SiteId| allowed.permits(i, s);
-            // One track per polished order, as in GeoMapper::map.
-            let scope = if metrics.trace().enabled() {
-                metrics.track("search", &format!("Geo-multi refine[{idx}]"))
-            } else {
-                crate::trace::TraceScope::off()
-            };
-            let stats = polish(
-                &tables,
-                self.base.evaluation,
-                &mut m,
-                50,
-                &|_| true,
-                &permits,
-                scope,
-            );
-            (idx, tables.total(m.as_slice()), m, stats)
-        };
-        let polished: Vec<(usize, f64, Mapping, SearchStats)> =
-            metrics.timed("phase.refinement", || {
-                let top = ranked.into_iter().take(crate::geo::REFINE_TOP);
-                if self.base.parallel {
-                    top.collect::<Vec<_>>()
-                        .into_par_iter()
-                        .map(polish_order)
-                        .collect()
-                } else {
-                    top.map(polish_order).collect()
-                }
-            });
-        if metrics.enabled() {
-            let mut total = SearchStats {
-                restarts: polished.len() as u64,
-                ..SearchStats::default()
-            };
-            for (_, _, _, s) in &polished {
-                total.absorb(*s);
-            }
-            total.emit(&metrics);
-        }
-        polished
-            .into_iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .expect("at least one order")
-            .2
-    }
-
-    fn map_order(
-        &self,
-        problem: &MappingProblem,
-        allowed: &AllowedSites,
-        groups: &[Vec<SiteId>],
-        order: &[usize],
-        by_quantity: &[usize],
-    ) -> Mapping {
-        let n = problem.num_processes();
-        let partners = problem.partners();
-        let mut assignment: Vec<Option<SiteId>> = vec![None; n];
-        let mut selected = vec![false; n];
-        let mut free_caps = problem.capacities();
-        let mut remaining = n;
-        let mut rng = StdRng::seed_from_u64(self.base.seed);
-        let mut affinity = vec![0.0f64; n];
-        let mut heap = crate::geo::AffinityHeap::with_capacity(n);
-
-        'outer: for &gi in order {
-            let group = &groups[gi];
-            let mut site_done = vec![false; group.len()];
-            for _ in 0..group.len() {
-                if remaining == 0 {
-                    break 'outer;
-                }
-                let Some((slot, &site)) = group
-                    .iter()
-                    .enumerate()
-                    .filter(|(idx, s)| !site_done[*idx] && free_caps[s.index()] > 0)
-                    .max_by_key(|(_, s)| free_caps[s.index()])
-                else {
-                    break;
-                };
-                site_done[slot] = true;
-
-                affinity.iter_mut().for_each(|a| *a = 0.0);
-                let eligible =
-                    |t: usize, selected: &[bool]| !selected[t] && allowed.permits(t, site);
-
-                let seed_proc = match self.base.seeding {
-                    Seeding::Heaviest => by_quantity
-                        .iter()
-                        .copied()
-                        .find(|&t| eligible(t, &selected)),
-                    Seeding::Random => {
-                        let free: Vec<usize> = (0..n).filter(|&t| eligible(t, &selected)).collect();
-                        (!free.is_empty()).then(|| free[rng.random_range(0..free.len())])
-                    }
-                };
-                let Some(t0) = seed_proc else { continue };
-                assignment[t0] = Some(site);
-                selected[t0] = true;
-                free_caps[site.index()] -= 1;
-                remaining -= 1;
-                for p in &partners[t0] {
-                    affinity[p.peer] += problem.edge_weight(p);
-                }
-
-                heap.rebuild(&affinity, &selected);
-                while free_caps[site.index()] > 0 && remaining > 0 {
-                    let Some(t) = heap.pop_where(&affinity, |t| eligible(t, &selected)) else {
-                        break;
-                    };
-                    assignment[t] = Some(site);
-                    selected[t] = true;
-                    free_caps[site.index()] -= 1;
-                    remaining -= 1;
-                    for p in &partners[t] {
-                        if !selected[p.peer] {
-                            affinity[p.peer] += problem.edge_weight(p);
-                            heap.push(p.peer, affinity[p.peer]);
-                        }
-                    }
-                }
-            }
-        }
-
-        if remaining > 0 {
-            // Greedy stranded some processes; finish with augmenting
-            // paths seeded from the partial assignment.
-            repair(&mut assignment, allowed, &problem.capacities());
-        }
-        Mapping::new(
-            assignment
-                .into_iter()
-                .map(|a| a.expect("repair completes"))
-                .collect(),
-        )
-    }
-}
-
 /// Complete a partial assignment via augmenting paths. The instance was
-/// verified feasible up front, so this always succeeds.
-fn repair(assignment: &mut [Option<SiteId>], allowed: &AllowedSites, caps: &[usize]) {
+/// verified feasible up front ([`AllowedSites::with_pins`]), so this
+/// always succeeds.
+pub(crate) fn repair(assignment: &mut [Option<SiteId>], allowed: &AllowedSites, caps: &[usize]) {
     let mut matcher = Matcher::new(allowed, caps);
     for (i, a) in assignment.iter().enumerate() {
         if let Some(site) = a {
@@ -454,6 +237,7 @@ fn repair(assignment: &mut [Option<SiteId>], allowed: &AllowedSites, caps: &[usi
 mod tests {
     use super::*;
     use crate::cost::cost;
+    use crate::geo::GeoMapper;
     use crate::Mapper as _;
     use commgraph::apps::{RandomGraph, Workload};
     use geonet::{presets, InstanceType};
@@ -473,10 +257,68 @@ mod tests {
     #[test]
     fn unrestricted_behaves_like_geo() {
         let p = problem(16, 4, 1);
-        let multi = GeoMapperMulti::new(AllowedSites::unrestricted(16)).map(&p);
+        let multi = GeoMapper::with_allowed(AllowedSites::unrestricted(16)).map(&p);
         let plain = GeoMapper::default().map(&p);
         // Same algorithm, same config: identical mapping.
         assert_eq!(multi, plain);
+    }
+
+    /// Pins go first with or without sets: unrestricted sets on a
+    /// 20 %-pinned problem change nothing.
+    #[test]
+    fn unrestricted_sets_equal_plain_geo_on_pinned_problems() {
+        use crate::constraint::ConstraintVector;
+        for seed in 0..10 {
+            let net = presets::paper_ec2_network(8, InstanceType::M4Xlarge, seed);
+            let pat = RandomGraph {
+                n: 32,
+                degree: 4,
+                max_bytes: 500_000,
+                seed,
+            }
+            .pattern();
+            let pins = ConstraintVector::random(32, 0.2, &net.capacities(), seed);
+            let p = MappingProblem::new(pat, net, pins);
+            let multi = GeoMapper::with_allowed(AllowedSites::unrestricted(32)).map(&p);
+            assert_eq!(multi, GeoMapper::default().map(&p), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn restricted_first_only_evaluates_one_order() {
+        use crate::geo::OrderSearch;
+        use crate::metrics::{MemorySink, Metrics};
+        let p = problem(16, 4, 2);
+        let mut allowed = AllowedSites::unrestricted(16);
+        for i in 0..4 {
+            allowed.restrict(i, &[SiteId(2), SiteId(3)]);
+        }
+        let sink = std::sync::Arc::new(MemorySink::new());
+        let m = GeoMapper {
+            order_search: OrderSearch::FirstOnly,
+            metrics: Metrics::new(sink.clone()),
+            ..GeoMapper::with_allowed(allowed.clone())
+        }
+        .map(&p);
+        assert!(allowed.satisfied_by(m.as_slice()));
+        assert_eq!(sink.sum("Geo-distributed", "search.orders_evaluated"), 1.0);
+        assert_eq!(sink.sum("Geo-distributed", "search.packings"), 1.0);
+    }
+
+    #[test]
+    fn pins_hold_under_restricted_sets() {
+        use crate::constraint::ConstraintVector;
+        let p = problem(16, 4, 7);
+        let pins = ConstraintVector::random(16, 0.25, &p.capacities(), 7);
+        let p = p.with_constraints(pins.clone());
+        let mut allowed = AllowedSites::unrestricted(16);
+        for i in (0..16).filter(|&i| pins.pin_of(i).is_none()).take(4) {
+            allowed.restrict(i, &[SiteId(0), SiteId(1)]);
+        }
+        let m = GeoMapper::with_allowed(allowed.clone()).map(&p);
+        m.validate(&p).unwrap();
+        assert!(pins.satisfied_by(m.as_slice()));
+        assert!(allowed.satisfied_by(m.as_slice()));
     }
 
     #[test]
@@ -487,7 +329,7 @@ mod tests {
         for i in 0..4 {
             allowed.restrict(i, &[SiteId(2), SiteId(3)]);
         }
-        let m = GeoMapperMulti::new(allowed.clone()).map(&p);
+        let m = GeoMapper::with_allowed(allowed.clone()).map(&p);
         m.validate(&p).unwrap();
         assert!(allowed.satisfied_by(m.as_slice()));
         for i in 0..4 {
@@ -500,7 +342,7 @@ mod tests {
         let p = problem(8, 2, 3);
         let mut allowed = AllowedSites::unrestricted(8);
         allowed.restrict(5, &[SiteId(1)]);
-        let m = GeoMapperMulti::new(allowed).map(&p);
+        let m = GeoMapper::with_allowed(allowed).map(&p);
         assert_eq!(m.site_of(5), SiteId(1));
     }
 
@@ -514,7 +356,7 @@ mod tests {
             let a = i % 4;
             allowed.restrict(i, &[SiteId(a), SiteId((a + 1) % 4)]);
         }
-        let m = GeoMapperMulti::new(allowed.clone()).map(&p);
+        let m = GeoMapper::with_allowed(allowed.clone()).map(&p);
         m.validate(&p).unwrap();
         assert!(allowed.satisfied_by(m.as_slice()));
     }
@@ -549,7 +391,7 @@ mod tests {
         for i in 0..4 {
             allowed.restrict(i, &[SiteId(0)]); // capacity 2 < 4
         }
-        GeoMapperMulti::new(allowed).map(&p);
+        GeoMapper::with_allowed(allowed).map(&p);
     }
 
     #[test]
@@ -564,13 +406,13 @@ mod tests {
         let p = problem(16, 4, 6);
         let free = cost(
             &p,
-            &GeoMapperMulti::new(AllowedSites::unrestricted(16)).map(&p),
+            &GeoMapper::with_allowed(AllowedSites::unrestricted(16)).map(&p),
         );
         let mut allowed = AllowedSites::unrestricted(16);
         for i in 0..8 {
             allowed.restrict(i, &[SiteId(i % 4)]);
         }
-        let tight = cost(&p, &GeoMapperMulti::new(allowed).map(&p));
+        let tight = cost(&p, &GeoMapper::with_allowed(allowed).map(&p));
         assert!(free <= tight + 1e-9, "freedom hurt: {free} vs {tight}");
     }
 
@@ -602,7 +444,7 @@ mod tests {
                 }
             }
             proptest::prop_assume!(allowed.feasible_assignment(&p.capacities()).is_some());
-            let m = GeoMapperMulti::new(allowed.clone()).map(&p);
+            let m = GeoMapper::with_allowed(allowed.clone()).map(&p);
             proptest::prop_assert!(m.validate(&p).is_ok());
             proptest::prop_assert!(allowed.satisfied_by(m.as_slice()));
         }

@@ -199,6 +199,32 @@ fn malformed_requests_get_stable_error_codes() {
     }
 }
 
+/// Non-finite traffic and non-integer ranks are rejected at parse time,
+/// before they can reach the solver.
+#[test]
+fn non_finite_or_fractional_pattern_fields_are_bad_requests() {
+    let svc = service();
+    for (i, row) in [
+        "0,1,NaN,1",
+        "0,1,5,inf",
+        "-1,1,5,1",
+        "1.7,0,5,1",
+        "NaN,1,5,1",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let request = MapRequest::new(format!("nan{i}"), format!("src,dst,bytes,msgs\n{row}\n"));
+        match svc.handle(&Request::Map(request)) {
+            Response::Error(e) => {
+                assert_eq!(e.code, ErrorCode::BadRequest, "{row}: {}", e.message);
+                assert!(e.message.contains("line 2"), "{row}: {}", e.message);
+            }
+            other => panic!("{row}: expected error, got {other:?}"),
+        }
+    }
+}
+
 /// The daemon and `geomap map --algorithm` share one factory, so an
 /// unknown name gets the same one-line message from both.
 #[test]

@@ -13,7 +13,7 @@
 
 use geo_process_mapping::prelude::*;
 use geomap_core::cost as eq3_cost;
-use geomap_core::{AllowedSites, GeoMapperMulti};
+use geomap_core::AllowedSites;
 use geonet::presets::MultiCloud;
 use geonet::SiteId;
 
@@ -61,7 +61,7 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    let mapping = GeoMapperMulti::new(allowed.clone()).map(&problem);
+    let mapping = GeoMapper::with_allowed(allowed.clone()).map(&problem);
     assert!(allowed.satisfied_by(mapping.as_slice()), "policy violated");
 
     let random = eq3_cost(&problem, &baselines::RandomMapper::default().map(&problem));

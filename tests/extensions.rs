@@ -3,7 +3,7 @@
 
 use geo_process_mapping::prelude::*;
 use geomap_core::cost as eq3_cost;
-use geomap_core::{AllowedSites, GeoMapperMulti};
+use geomap_core::AllowedSites;
 use geonet::presets::MultiCloud;
 use geonet::SiteId;
 
@@ -42,7 +42,7 @@ fn multisite_constraints_on_multicloud_end_to_end() {
     for i in 0..n / 3 {
         allowed.restrict(i, &eu_sites);
     }
-    let mapping = GeoMapperMulti::new(allowed.clone()).map(&problem);
+    let mapping = GeoMapper::with_allowed(allowed.clone()).map(&problem);
     mapping.validate(&problem).unwrap();
     assert!(allowed.satisfied_by(mapping.as_slice()));
 
@@ -68,7 +68,7 @@ fn allowed_sets_tighten_monotonically() {
         for (i, set) in sets.iter().cycle().take(restricted).enumerate() {
             allowed.restrict(i, set);
         }
-        eq3_cost(&problem, &GeoMapperMulti::new(allowed).map(&problem))
+        eq3_cost(&problem, &GeoMapper::with_allowed(allowed).map(&problem))
     };
     let free = eq3_cost(&problem, &GeoMapper::default().map(&problem));
     let loose = cost_with(&[vec![

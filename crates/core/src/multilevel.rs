@@ -713,7 +713,10 @@ pub struct MultilevelMapper {
     /// Coarsening and refinement knobs.
     pub config: MultilevelConfig,
     /// Direct solver for the coarsest graph. Its `seed` also drives the
-    /// matching RNG (xored, so the two streams stay independent).
+    /// matching RNG (xored, so the two streams stay independent). Its
+    /// allowed-site sets apply only when the cutoff disables coarsening:
+    /// a coarse vertex has no single set, so `map` panics on a problem
+    /// it would coarsen.
     pub inner: GeoMapper,
     /// Observability handle: phase timings (`phase.coarsen` /
     /// `phase.coarse_solve` / `phase.refine`), per-level
@@ -748,6 +751,13 @@ impl Mapper for MultilevelMapper {
         if n <= self.config.coarsen_cutoff {
             return self.inner.map(problem);
         }
+        assert!(
+            self.inner.allowed.is_none(),
+            "multilevel cannot carry allowed-site sets through coarsening \
+             ({n} processes > coarsen_cutoff {}); use GeoMapper::with_allowed \
+             or a cutoff of at least {n}",
+            self.config.coarsen_cutoff
+        );
         let metrics = self.metrics.scoped("multilevel");
         let scope = metrics.track("search", "Multilevel");
 

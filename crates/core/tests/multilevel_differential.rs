@@ -15,8 +15,10 @@
 //!   every Fig. 4/Fig. 5 application, and stays feasible.
 
 use commgraph::apps::AppKind;
-use geomap_core::{cost, GeoMapper, Mapper, MappingProblem, MultilevelConfig, MultilevelMapper};
-use geonet::{presets, InstanceType};
+use geomap_core::{
+    cost, AllowedSites, GeoMapper, Mapper, MappingProblem, MultilevelConfig, MultilevelMapper,
+};
+use geonet::{presets, InstanceType, SiteId};
 
 const APPS: [AppKind; 5] = [
     AppKind::Bt,
@@ -89,4 +91,47 @@ fn full_multilevel_within_five_percent_of_direct() {
             "{app:?}: multilevel cost {ml_cost} suspiciously below direct {direct_cost}"
         );
     }
+}
+
+/// Allowed-site sets below the cutoff: the inner solver maps the problem
+/// with its sets, bit for bit what `GeoMapper::with_allowed` gives.
+#[test]
+fn allowed_sets_at_or_below_cutoff_match_geo_with_allowed() {
+    let n = 64;
+    let problem = fig_problem(AppKind::Lu, n, 7);
+    let mut allowed = AllowedSites::unrestricted(n);
+    for i in 0..8 {
+        allowed.restrict(i, &[SiteId(1), SiteId(2)]);
+    }
+    let inner = GeoMapper::with_allowed(allowed.clone());
+    let direct = inner.map(&problem);
+    let multilevel = MultilevelMapper {
+        config: MultilevelConfig {
+            coarsen_cutoff: n,
+            ..MultilevelConfig::default()
+        },
+        inner,
+        ..MultilevelMapper::default()
+    }
+    .map(&problem);
+    assert!(allowed.satisfied_by(multilevel.as_slice()));
+    assert_eq!(multilevel.as_slice(), direct.as_slice());
+}
+
+/// Coarsening would merge processes with different sets, so a problem
+/// above the cutoff is refused up front with the reason.
+#[test]
+#[should_panic(expected = "multilevel cannot carry allowed-site sets through coarsening")]
+fn allowed_sets_above_cutoff_are_rejected() {
+    let n = 64;
+    let problem = fig_problem(AppKind::Lu, n, 7);
+    MultilevelMapper {
+        config: MultilevelConfig {
+            coarsen_cutoff: 8,
+            ..MultilevelConfig::default()
+        },
+        inner: GeoMapper::with_allowed(AllowedSites::unrestricted(n)),
+        ..MultilevelMapper::default()
+    }
+    .map(&problem);
 }

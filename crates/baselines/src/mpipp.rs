@@ -90,11 +90,11 @@ impl MpippMapper {
             let (swap, evaluated) = best_improving_swap(eval.as_ref(), &movable, SWAP_EPS);
             stats.passes += 1;
             stats.swaps_evaluated += evaluated;
-            let Some((a, b, _)) = swap else {
+            let Some((a, b, d)) = swap else {
                 scope.span_end("pass");
                 break;
             };
-            eval.apply_swap(a, b);
+            eval.apply_swap(a, b, d);
             stats.swaps_accepted += 1;
             scope.instant("swap");
             scope.span_end("pass");

@@ -1,11 +1,14 @@
 //! Criterion timing of the mappers' optimization overhead (Fig. 4's
 //! quantity, measured precisely): Baseline, Greedy, MPIPP and
-//! Geo-distributed at the paper's scales.
+//! Geo-distributed at the paper's scales. The `geo_solve` group times
+//! one serial `GeoMapper` solve at the shapes the benchmark's solver and
+//! service workloads solve, so a change to packing, evaluator set-up or
+//! refinement shows without the rayon pool's scheduling in the number.
 
 use baselines::{GreedyMapper, MpippMapper, RandomMapper};
 use commgraph::apps::AppKind;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use geomap_core::{GeoMapper, Mapper, MappingProblem};
+use geomap_core::{ConstraintVector, GeoMapper, Mapper, MappingProblem};
 use geonet::{presets, InstanceType};
 use std::hint::black_box;
 
@@ -57,9 +60,38 @@ fn bench_mappers(c: &mut Criterion) {
     group.finish();
 }
 
+/// Serial K-means solves on the paper's EC2 preset: N=128 over 4×32
+/// nodes with 20 % of the ranks pinned, and N=64 over 4×64 nodes.
+fn bench_geo_solve(c: &mut Criterion) {
+    let mut group = c.benchmark_group("geo_solve");
+    for (n, nodes, pinned) in [(128usize, 32usize, 0.2), (64, 64, 0.0)] {
+        let net = presets::paper_ec2_network(nodes, InstanceType::M4Xlarge, 1);
+        let pins = if pinned > 0.0 {
+            ConstraintVector::random(n, pinned, &net.capacities(), 3)
+        } else {
+            ConstraintVector::none(n)
+        };
+        let p = MappingProblem::new(AppKind::KMeans.workload(n).pattern(), net, pins);
+        let mapper = GeoMapper {
+            parallel: false,
+            ..GeoMapper::default()
+        };
+        let id = format!("ec2_4x{nodes}");
+        group.bench_with_input(BenchmarkId::new(format!("kmeans{n}"), id), &p, |b, p| {
+            b.iter(|| black_box(mapper.map(p)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_mappers
 }
-criterion_main!(benches);
+criterion_group! {
+    name = solves;
+    config = Criterion::default().sample_size(30);
+    targets = bench_geo_solve
+}
+criterion_main!(benches, solves);

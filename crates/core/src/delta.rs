@@ -12,10 +12,9 @@
 //! reads: [`CostTables`] stores the pattern as a directed-split CSR and
 //! the network as flat row-major `LT`/`1/BT` matrices, and the evaluator
 //! caches each process's incident cost so a candidate only re-evaluates
-//! the *post-swap* side. Applied moves update the caches in `O(deg)` and
-//! push an undo frame; [`CostEval::revert`] restores the exact pre-apply
-//! state bitwise (frames save the touched cache entries, not recomputed
-//! values).
+//! the *post-swap* side. An apply takes the delta the caller already
+//! holds and updates the caches in `O(deg)`; searches only ever commit,
+//! so nothing is saved for an undo.
 //!
 //! Most candidates a search evaluates are rejections. A lazily built
 //! per-site table decides most of them in `O(1)`:
@@ -704,11 +703,11 @@ impl Candidates<'_> {
     }
 }
 
-/// Δ-cost evaluation over a mutable assignment: candidate queries,
-/// applied moves with cache maintenance, and bitwise-exact undo.
+/// Δ-cost evaluation over a mutable assignment: candidate queries and
+/// applied moves with cache maintenance.
 ///
 /// `swap_delta`/`move_delta` are `&self` and thread-safe, so a sweep can
-/// fan candidate evaluation out with rayon; `apply_*`/`revert` mutate.
+/// fan candidate evaluation out with rayon; `apply_*` mutate.
 pub trait CostEval: Sync {
     /// Current total Eq. 3 cost (maintained incrementally; see
     /// `tests/delta_equivalence.rs` for the drift bound).
@@ -774,17 +773,16 @@ pub trait CostEval: Sync {
         (None, evaluated)
     }
 
-    /// Apply the swap, update caches, push an undo frame; returns the
-    /// applied delta.
-    fn apply_swap(&mut self, a: usize, b: usize) -> f64;
+    /// Apply the swap and update the caches. `delta` is the swap's
+    /// [`CostEval::swap_delta`], which the caller got from the query
+    /// that chose it; the total advances by exactly that value. Debug
+    /// builds check it bitwise.
+    fn apply_swap(&mut self, a: usize, b: usize, delta: f64);
 
-    /// Apply the move, update caches, push an undo frame; returns the
-    /// applied delta.
-    fn apply_move(&mut self, i: usize, to: SiteId) -> f64;
-
-    /// Undo the most recent un-reverted `apply_*`, restoring the exact
-    /// prior state (bitwise). Returns `false` when nothing is left.
-    fn revert(&mut self) -> bool;
+    /// Apply the move and update the caches; `delta` is its
+    /// [`CostEval::move_delta`], under the same contract as
+    /// [`CostEval::apply_swap`].
+    fn apply_move(&mut self, i: usize, to: SiteId, delta: f64);
 
     /// α–β terms evaluated so far (one `pair_cost` = one term) — the
     /// work metric behind the Fig. 4 FLOP comparisons. A screen query
@@ -797,23 +795,6 @@ pub trait CostEval: Sync {
     /// Partner ids of `i` in CSR order (the communicating pairs a
     /// partner-edge sweep considers).
     fn peers(&self, i: usize) -> &[u32];
-}
-
-/// An applied operation, for the undo log.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Swap(u32, u32),
-    /// Process and the site it came *from*.
-    Move(u32, SiteId),
-}
-
-/// Undo frame: the operation, the pre-apply total, and every cache entry
-/// the apply touched with its pre-apply value.
-#[derive(Debug)]
-struct Frame {
-    op: Op,
-    total: f64,
-    saved: Vec<(u32, f64)>,
 }
 
 /// What the row kernel knows about one site of the current row.
@@ -836,9 +817,9 @@ enum Bucket {
 /// at[b][s])`, the least change any such `b` sees moving to `t`, and
 /// `H = max (|at[b][t]| + |at[b][s]|)`, which bounds those pairs'
 /// screen tolerances. A column costs `O(n)` and is built only when a
-/// row on its site asks. An apply or revert folds the rows it changed
-/// into the built columns (`lower`), which keeps them bounds but can
-/// loosen them; when it touched as many rows as the set has members,
+/// row on its site asks. An apply folds the rows it changed into the
+/// built columns (`lower`), which keeps them bounds but can loosen
+/// them; when it touched as many rows as the set has members,
 /// rebuilding on demand is no dearer, so it drops every column instead
 /// (a generation bump), as does a different movable set.
 ///
@@ -994,9 +975,8 @@ pub struct CostEvaluator<'t> {
     incident: Vec<f64>,
     /// `at[i·m + s]` = the incident cost `i` would have on site `s`,
     /// its peers where they are. Built on the first cross-site screen
-    /// query, shifted (never snapshotted) by applies and reverts, so it
-    /// drifts from `incident` by rounding only; the screen's tolerance
-    /// covers that drift.
+    /// query, then shifted by applies, so it drifts from `incident` by
+    /// rounding only; the screen's tolerance covers that drift.
     at: OnceLock<Vec<f64>>,
     /// Row-kernel bounds over `at` (boxed: the kernel takes them out
     /// for the length of a row).
@@ -1004,16 +984,28 @@ pub struct CostEvaluator<'t> {
     /// Scratch of `shift_site_table`: per-site shift factors.
     unit: Vec<[f64; 4]>,
     total: f64,
-    frames: Vec<Frame>,
     terms: AtomicU64,
 }
 
 impl<'t> CostEvaluator<'t> {
-    /// Build the caches for `sites` (`O(E)` once).
+    /// Build the caches for `sites` in one `O(E)` walk, bitwise equal to
+    /// [`CostTables`]' `incident` and `total` (the same additions in the
+    /// same order). The site table waits for the first screen query.
     pub fn new(tables: &'t CostTables, sites: Vec<SiteId>) -> Self {
         assert_eq!(sites.len(), tables.n, "assignment length mismatch");
-        let incident: Vec<f64> = (0..tables.n).map(|i| tables.incident(&sites, i)).collect();
-        let total = tables.total(&sites);
+        let t = tables;
+        let mut incident = Vec::with_capacity(t.n);
+        let mut total = 0.0;
+        for (i, &si) in sites.iter().enumerate() {
+            let mut sum = 0.0;
+            for k in t.row(i) {
+                let sp = sites[t.peer[k] as usize];
+                let out = t.term(t.out_m[k], t.out_b[k], si, sp);
+                sum += out + t.term(t.in_m[k], t.in_b[k], sp, si);
+                total += out;
+            }
+            incident.push(sum);
+        }
         Self {
             tables,
             sites,
@@ -1022,22 +1014,15 @@ impl<'t> CostEvaluator<'t> {
             bounds: None,
             unit: Vec::new(),
             total,
-            frames: Vec::new(),
             terms: AtomicU64::new((3 * tables.num_entries()) as u64),
         }
     }
 
     /// Post-move incident cost of `i` sitting at `si_new`, seeing one
-    /// peer (`other`) at `other_new`. Also returns the a↔b edge cost
-    /// after and before (0 if `other` is not a partner), which
+    /// peer (`other`) at `other_new`. Also returns the change of the
+    /// a↔b edge's cost (0 if `other` is not a partner), which
     /// `swap_delta` needs to un-double-count.
-    fn row_after(
-        &self,
-        i: usize,
-        si_new: SiteId,
-        other: usize,
-        other_new: SiteId,
-    ) -> (f64, f64, f64) {
+    fn row_after(&self, i: usize, si_new: SiteId, other: usize, other_new: SiteId) -> (f64, f64) {
         let t = self.tables;
         let (mut after, mut ab_after, mut ab_before) = (0.0, 0.0, 0.0);
         for k in t.row(i) {
@@ -1053,7 +1038,31 @@ impl<'t> CostEvaluator<'t> {
                     t.term(t.out_m[k], t.out_b[k], si, so) + t.term(t.in_m[k], t.in_b[k], so, si);
             }
         }
-        (after, after - ab_after + ab_before, ab_after - ab_before)
+        (after, ab_after - ab_before)
+    }
+
+    /// [`CostEval::swap_delta`] without counting its terms (so a debug
+    /// build's apply check leaves the counters as a release build's).
+    fn exact_swap(&self, a: usize, b: usize) -> f64 {
+        let (sa, sb) = (self.sites[a], self.sites[b]);
+        if sa == sb {
+            return 0.0;
+        }
+        let (after_a, ab_change) = self.row_after(a, sb, b, sa);
+        let (after_b, _) = self.row_after(b, sa, a, sb);
+        // The a↔b edge (both directions) appears in both rows: counted
+        // twice in the afters and twice in the cached befores, so its
+        // change is double-counted exactly once — subtract it.
+        (after_a - self.incident[a]) + (after_b - self.incident[b]) - ab_change
+    }
+
+    /// [`CostEval::move_delta`] without counting its terms.
+    fn exact_move(&self, i: usize, to: SiteId) -> f64 {
+        if self.sites[i] == to {
+            return 0.0;
+        }
+        let (after, _) = self.row_after(i, to, usize::MAX, to);
+        after - self.incident[i]
     }
 
     /// Adjust the incident caches of `i`'s peers for `i` moving
@@ -1070,17 +1079,6 @@ impl<'t> CostEvaluator<'t> {
                 t.term(t.out_m[k], t.out_b[k], from, sp) + t.term(t.in_m[k], t.in_b[k], sp, from);
             let new = t.term(t.out_m[k], t.out_b[k], to, sp) + t.term(t.in_m[k], t.in_b[k], sp, to);
             self.incident[p] += new - old;
-        }
-    }
-
-    /// Snapshot the cache entries an apply on `who` will touch.
-    fn save_rows(&self, who: &[usize], saved: &mut Vec<(u32, f64)>) {
-        for &i in who {
-            saved.push((i as u32, self.incident[i]));
-            for k in self.tables.row(i) {
-                let p = self.tables.peer[k];
-                saved.push((p, self.incident[p as usize]));
-            }
         }
     }
 
@@ -1144,8 +1142,7 @@ impl<'t> CostEvaluator<'t> {
     /// Shift the site-table rows of `x`'s peers for `x` moving
     /// `from → to` (a no-op until the table exists), `2·m` terms per
     /// peer. A peer's row does not depend on the peer's own site, so
-    /// the two halves of a swap shift independently, and a revert is
-    /// the inverse shift.
+    /// the two halves of a swap shift independently.
     fn shift_site_table(&mut self, x: usize, from: SiteId, to: SiteId) {
         let t = self.tables;
         let m = t.m;
@@ -1177,8 +1174,8 @@ impl<'t> CostEvaluator<'t> {
         self.count_terms(2 * m as u64 * self.deg(x));
     }
 
-    /// Keep the row kernel's state sound after an apply or revert moved
-    /// `who`: their sites changed, and their peers' table rows shifted.
+    /// Keep the row kernel's state sound after an apply moved `who`:
+    /// their sites changed, and their peers' table rows shifted.
     fn moved(&mut self, who: &[usize]) {
         let (Some(at), t) = (self.at.get(), self.tables) else {
             return;
@@ -1348,31 +1345,19 @@ impl CostEval for CostEvaluator<'_> {
     }
 
     fn swap_delta(&self, a: usize, b: usize) -> f64 {
-        if a == b {
-            return 0.0;
+        if self.sites[a] != self.sites[b] {
+            // Each row_after evaluates 2 terms per entry (+2 for the a↔b
+            // "before" correction when present).
+            self.count_terms(2 * (self.deg(a) + self.deg(b)) + 2);
         }
-        let (sa, sb) = (self.sites[a], self.sites[b]);
-        if sa == sb {
-            return 0.0;
-        }
-        // Each row_after evaluates 2 terms per entry (+2 for the a↔b
-        // "before" correction when present).
-        self.count_terms(2 * (self.deg(a) + self.deg(b)) + 2);
-        let (after_a, _, ab_change) = self.row_after(a, sb, b, sa);
-        let (after_b, _, _) = self.row_after(b, sa, a, sb);
-        // The a↔b edge (both directions) appears in both rows: counted
-        // twice in the afters and twice in the cached befores, so its
-        // change is double-counted exactly once — subtract it.
-        (after_a - self.incident[a]) + (after_b - self.incident[b]) - ab_change
+        self.exact_swap(a, b)
     }
 
     fn move_delta(&self, i: usize, to: SiteId) -> f64 {
-        if self.sites[i] == to {
-            return 0.0;
+        if self.sites[i] != to {
+            self.count_terms(2 * self.deg(i));
         }
-        self.count_terms(2 * self.deg(i));
-        let (after, _, _) = self.row_after(i, to, usize::MAX, to);
-        after - self.incident[i]
+        self.exact_move(i, to)
     }
 
     fn swap_delta_if_below(&self, a: usize, b: usize, limit: f64) -> Option<f64> {
@@ -1472,85 +1457,45 @@ impl CostEval for CostEvaluator<'_> {
         found
     }
 
-    fn apply_swap(&mut self, a: usize, b: usize) -> f64 {
-        let delta = self.swap_delta(a, b);
-        let mut saved = Vec::with_capacity(2 * (self.deg(a) + self.deg(b)) as usize + 2);
-        self.save_rows(&[a, b], &mut saved);
-        self.frames.push(Frame {
-            op: Op::Swap(a as u32, b as u32),
-            total: self.total,
-            saved,
-        });
-        if a != b && self.sites[a] != self.sites[b] {
-            let (sa, sb) = (self.sites[a], self.sites[b]);
-            self.shift_peer_caches(a, sa, sb, b);
-            self.shift_peer_caches(b, sb, sa, a);
-            self.shift_site_table(a, sa, sb);
-            self.shift_site_table(b, sb, sa);
-            self.sites.swap(a, b);
-            self.moved(&[a, b]);
-            self.incident[a] = self.tables.incident(&self.sites, a);
-            self.incident[b] = self.tables.incident(&self.sites, b);
-            self.count_terms(4 * (self.deg(a) + self.deg(b)));
-            self.total += delta;
+    fn apply_swap(&mut self, a: usize, b: usize, delta: f64) {
+        debug_assert_eq!(
+            delta.to_bits(),
+            self.exact_swap(a, b).to_bits(),
+            "apply_swap({a},{b}): {delta} is not the swap's delta"
+        );
+        let (sa, sb) = (self.sites[a], self.sites[b]);
+        if sa == sb {
+            return;
         }
-        delta
+        self.shift_peer_caches(a, sa, sb, b);
+        self.shift_peer_caches(b, sb, sa, a);
+        self.shift_site_table(a, sa, sb);
+        self.shift_site_table(b, sb, sa);
+        self.sites.swap(a, b);
+        self.moved(&[a, b]);
+        self.incident[a] = self.tables.incident(&self.sites, a);
+        self.incident[b] = self.tables.incident(&self.sites, b);
+        self.count_terms(4 * (self.deg(a) + self.deg(b)));
+        self.total += delta;
     }
 
-    fn apply_move(&mut self, i: usize, to: SiteId) -> f64 {
-        let delta = self.move_delta(i, to);
+    fn apply_move(&mut self, i: usize, to: SiteId, delta: f64) {
+        debug_assert_eq!(
+            delta.to_bits(),
+            self.exact_move(i, to).to_bits(),
+            "apply_move({i}→{to:?}): {delta} is not the move's delta"
+        );
         let from = self.sites[i];
-        let mut saved = Vec::with_capacity(self.deg(i) as usize + 1);
-        self.save_rows(&[i], &mut saved);
-        self.frames.push(Frame {
-            op: Op::Move(i as u32, from),
-            total: self.total,
-            saved,
-        });
-        if self.sites[i] != to {
-            self.shift_peer_caches(i, from, to, usize::MAX);
-            self.shift_site_table(i, from, to);
-            self.sites[i] = to;
-            self.moved(&[i]);
-            self.incident[i] = self.tables.incident(&self.sites, i);
-            self.count_terms(4 * self.deg(i));
-            self.total += delta;
+        if from == to {
+            return;
         }
-        delta
-    }
-
-    fn revert(&mut self) -> bool {
-        let Some(frame) = self.frames.pop() else {
-            return false;
-        };
-        match frame.op {
-            Op::Swap(a, b) => {
-                let (a, b) = (a as usize, b as usize);
-                let (sa, sb) = (self.sites[a], self.sites[b]);
-                if sa != sb {
-                    self.shift_site_table(a, sa, sb);
-                    self.shift_site_table(b, sb, sa);
-                    self.sites.swap(a, b);
-                    self.moved(&[a, b]);
-                }
-            }
-            Op::Move(i, from) => {
-                let i = i as usize;
-                let now = self.sites[i];
-                if now != from {
-                    self.shift_site_table(i, now, from);
-                    self.sites[i] = from;
-                    self.moved(&[i]);
-                }
-            }
-        }
-        self.total = frame.total;
-        // Entries were snapshotted before any mutation, so restoring in
-        // any order (duplicates included) reproduces the exact state.
-        for (idx, v) in frame.saved {
-            self.incident[idx as usize] = v;
-        }
-        true
+        self.shift_peer_caches(i, from, to, usize::MAX);
+        self.shift_site_table(i, from, to);
+        self.sites[i] = to;
+        self.moved(&[i]);
+        self.incident[i] = self.tables.incident(&self.sites, i);
+        self.count_terms(4 * self.deg(i));
+        self.total += delta;
     }
 
     fn terms(&self) -> u64 {
@@ -1569,7 +1514,6 @@ pub struct FullRecomputeEval<'t> {
     tables: &'t CostTables,
     sites: Vec<SiteId>,
     total: f64,
-    frames: Vec<(Op, f64)>,
     terms: AtomicU64,
 }
 
@@ -1582,9 +1526,22 @@ impl<'t> FullRecomputeEval<'t> {
             tables,
             sites,
             total,
-            frames: Vec::new(),
             terms: AtomicU64::new(tables.num_entries() as u64),
         }
+    }
+
+    /// Take the whole total again after an apply instead of adding the
+    /// caller's `delta`. Its query took the same sum over the same
+    /// sites, so a debug build checks the total moved by exactly
+    /// `delta`.
+    fn recompute(&mut self, delta: f64) {
+        let before = self.total;
+        self.total = self.total_with(&|p| self.sites[p]);
+        debug_assert_eq!(
+            (self.total - before).to_bits(),
+            delta.to_bits(),
+            "apply: {delta} is not the operation's delta"
+        );
     }
 
     /// Full total under a hypothetical process→site view.
@@ -1637,33 +1594,14 @@ impl CostEval for FullRecomputeEval<'_> {
         self.total_with(&view) - self.total
     }
 
-    fn apply_swap(&mut self, a: usize, b: usize) -> f64 {
-        self.frames.push((Op::Swap(a as u32, b as u32), self.total));
-        let before = self.total;
+    fn apply_swap(&mut self, a: usize, b: usize, delta: f64) {
         self.sites.swap(a, b);
-        self.total = self.total_with(&|p| self.sites[p]);
-        self.total - before
+        self.recompute(delta);
     }
 
-    fn apply_move(&mut self, i: usize, to: SiteId) -> f64 {
-        self.frames
-            .push((Op::Move(i as u32, self.sites[i]), self.total));
-        let before = self.total;
+    fn apply_move(&mut self, i: usize, to: SiteId, delta: f64) {
         self.sites[i] = to;
-        self.total = self.total_with(&|p| self.sites[p]);
-        self.total - before
-    }
-
-    fn revert(&mut self) -> bool {
-        let Some((op, total)) = self.frames.pop() else {
-            return false;
-        };
-        match op {
-            Op::Swap(a, b) => self.sites.swap(a as usize, b as usize),
-            Op::Move(i, from) => self.sites[i as usize] = from,
-        }
-        self.total = total;
-        true
+        self.recompute(delta);
     }
 
     fn terms(&self) -> u64 {
@@ -1809,8 +1747,8 @@ pub fn sweep_hill_climb(
                 let (hit, evaluated) =
                     eval.first_improving_swap(i, candidates.clone(), &swaps, IMPROVEMENT_EPS);
                 stats.swaps_evaluated += evaluated;
-                let Some((j, _)) = hit else { break };
-                eval.apply_swap(i, j);
+                let Some((j, d)) = hit else { break };
+                eval.apply_swap(i, j, d);
                 stats.swaps_accepted += 1;
                 scope.instant("swap");
                 improved = true;
@@ -2098,33 +2036,48 @@ mod tests {
     }
 
     #[test]
-    fn apply_updates_total_and_revert_restores_bitwise() {
+    fn new_matches_the_tables_bitwise() {
+        let p = problem(32, 9);
+        let t = CostTables::build(&p, CostModel::Full);
+        let sites = round_robin(32, p.num_sites());
+        let eval = CostEvaluator::new(&t, sites.clone());
+        assert_eq!(eval.total.to_bits(), t.total(&sites).to_bits());
+        for i in 0..32 {
+            assert_eq!(
+                eval.incident[i].to_bits(),
+                t.incident(&sites, i).to_bits(),
+                "incident[{i}]"
+            );
+        }
+    }
+
+    #[test]
+    fn apply_updates_total_with_the_callers_delta() {
         let p = problem(16, 9);
         let t = CostTables::build(&p, CostModel::Full);
-        let sites = round_robin(16, p.num_sites());
-        let mut eval = CostEvaluator::new(&t, sites.clone());
-        let (t0, inc0) = (eval.total, eval.incident.clone());
-        eval.apply_swap(0, 5);
-        eval.apply_move(3, SiteId(2));
-        eval.apply_swap(7, 12);
+        let mut eval = CostEvaluator::new(&t, round_robin(16, p.num_sites()));
+        for (a, b) in [(0, 5), (7, 12), (4, 4)] {
+            let (before, d) = (eval.total(), eval.swap_delta(a, b));
+            eval.apply_swap(a, b, d);
+            assert_eq!(eval.total().to_bits(), (before + d).to_bits());
+        }
+        let (before, d) = (eval.total(), eval.move_delta(3, SiteId(2)));
+        eval.apply_move(3, SiteId(2), d);
+        assert_eq!(eval.total().to_bits(), (before + d).to_bits());
         // Totals track the applied deltas against brute force.
         let brute = t.total(eval.sites());
         assert!((eval.total() - brute).abs() <= 1e-9 * brute.max(1.0));
-        assert!(eval.revert());
-        assert!(eval.revert());
-        assert!(eval.revert());
-        assert!(!eval.revert());
-        assert_eq!(eval.sites(), &sites[..]);
-        assert!(
-            eval.total().to_bits() == t0.to_bits(),
-            "total not restored bitwise"
-        );
-        for (i, (a, b)) in eval.incident.iter().zip(&inc0).enumerate() {
-            assert!(
-                a.to_bits() == b.to_bits(),
-                "incident[{i}] not restored bitwise"
-            );
-        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not the swap's delta")]
+    fn apply_rejects_a_stale_delta_in_debug_builds() {
+        let p = problem(16, 9);
+        let t = CostTables::build(&p, CostModel::Full);
+        let mut eval = CostEvaluator::new(&t, round_robin(16, p.num_sites()));
+        let d = eval.swap_delta(0, 5);
+        eval.apply_swap(0, 5, d.next_up());
     }
 
     #[test]
@@ -2134,7 +2087,8 @@ mod tests {
         let mut eval = CostEvaluator::new(&t, round_robin(20, p.num_sites()));
         let ops = [(0usize, 7usize), (3, 12), (1, 19), (5, 9), (0, 3), (14, 2)];
         for &(a, b) in &ops {
-            eval.apply_swap(a, b);
+            let d = eval.swap_delta(a, b);
+            eval.apply_swap(a, b, d);
             for i in 0..20 {
                 let fresh = t.incident(eval.sites(), i);
                 assert!(

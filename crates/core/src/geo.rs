@@ -23,7 +23,7 @@
 //! set permits that site, and processes a restricted packing strands are
 //! finished by augmenting paths. A pin is a singleton set.
 //!
-//! The paper quotes `O(κ!·N²)`; with a lazy affinity max-heap one
+//! The paper quotes `O(κ!·N²)`; with an indexed affinity max-heap one
 //! packing is `O((N + E)·log N)`, so the whole search is
 //! `O(κ!·(N + E)·log N)` plus the bounded refinement. The `κ!` orders
 //! are embarrassingly parallel and evaluated with rayon when `parallel`
@@ -292,12 +292,12 @@ impl GeoMapper {
                 }
 
                 // Lines 12–14: fill the site with heaviest-affinity
-                // processes. A lazy max-heap makes each pick O(log N)
-                // instead of an O(N) scan — essential on the paper's
-                // 8192-process simulations.
+                // processes. An indexed max-heap makes each pick and
+                // each affinity update O(log N) instead of an O(N) scan
+                // — essential on the paper's 8192-process simulations.
                 heap.rebuild(&affinity, &selected);
                 while free_caps[site.index()] > 0 && remaining > 0 {
-                    let Some(t) = heap.pop_where(&affinity, |t| eligible(t, &selected)) else {
+                    let Some(t) = heap.pop_where(|t| eligible(t, &selected)) else {
                         break;
                     };
                     place(
@@ -311,7 +311,7 @@ impl GeoMapper {
                     for p in &partners[t] {
                         if !selected[p.peer] {
                             affinity[p.peer] += problem.edge_weight(p);
-                            heap.push(p.peer, affinity[p.peer]);
+                            heap.raise(p.peer, affinity[p.peer]);
                         }
                     }
                 }
@@ -408,55 +408,114 @@ fn by_quantity(problem: &MappingProblem) -> Vec<usize> {
 /// all 24; larger κ keeps refinement bounded).
 const REFINE_TOP: usize = 24;
 
-/// Lazy max-heap over non-negative affinities with lowest-index
+/// Indexed max-heap over non-negative affinities with lowest-index
 /// tie-breaking (the same pick the paper's linear argmax makes, in
-/// `O(log N)`). Stale entries — left behind whenever an affinity grows —
-/// are discarded on pop by comparing against the live affinity value.
+/// `O(log N)`). Each process holds at most one slot, and `pos` finds it:
+/// a raised affinity sifts that slot up in place, so the heap never
+/// holds more than `N` entries and never a stale one.
 struct AffinityHeap {
-    heap: std::collections::BinaryHeap<(u64, std::cmp::Reverse<usize>)>,
+    /// Max-heap of `(affinity bits, Reverse(process))`: the highest
+    /// affinity on top, the lowest index among equals.
+    slots: Vec<Slot>,
+    /// `pos[t]`: the slot holding `t`, or [`Self::ABSENT`].
+    pos: Vec<u32>,
 }
 
+type Slot = (u64, std::cmp::Reverse<u32>);
+
 impl AffinityHeap {
+    const ABSENT: u32 = u32::MAX;
+
     fn with_capacity(n: usize) -> Self {
         Self {
-            heap: std::collections::BinaryHeap::with_capacity(2 * n),
+            slots: Vec::with_capacity(n),
+            pos: vec![Self::ABSENT; n],
         }
     }
 
     /// Non-negative floats compare like their bit patterns.
     #[inline]
-    fn key(a: f64) -> u64 {
+    fn slot(t: usize, a: f64) -> Slot {
         debug_assert!(a >= 0.0, "affinities are sums of non-negative weights");
-        a.to_bits()
+        (a.to_bits(), std::cmp::Reverse(t as u32))
     }
 
-    /// Reset to one entry per unselected process.
+    /// Reset to one slot per unselected process (`O(N)` heapify).
     fn rebuild(&mut self, affinity: &[f64], selected: &[bool]) {
-        self.heap.clear();
+        self.pos.fill(Self::ABSENT);
+        self.slots.clear();
         for (t, (&a, &sel)) in affinity.iter().zip(selected).enumerate() {
             if !sel {
-                self.heap.push((Self::key(a), std::cmp::Reverse(t)));
+                self.slots.push(Self::slot(t, a));
             }
+        }
+        for i in (0..self.slots.len()).rev() {
+            self.sift_down(i);
         }
     }
 
-    /// Record that `t`'s affinity grew to `a`.
+    /// Record that `t`'s affinity rose to `a`: sift its slot up, or
+    /// give it a slot again if a pop dropped it.
     #[inline]
-    fn push(&mut self, t: usize, a: f64) {
-        self.heap.push((Self::key(a), std::cmp::Reverse(t)));
+    fn raise(&mut self, t: usize, a: f64) {
+        let x = Self::slot(t, a);
+        if self.pos[t] == Self::ABSENT {
+            self.pos[t] = self.slots.len() as u32;
+            self.slots.push(x);
+        }
+        let i = self.pos[t] as usize;
+        debug_assert!(x >= self.slots[i], "affinities only rise");
+        self.sift_up(i, x);
     }
 
     /// Highest-affinity process satisfying `valid`, or `None` when
-    /// exhausted. Live entries that fail `valid` (selected, or not
-    /// allowed on the site being filled) are dropped; the next site's
-    /// `rebuild` starts afresh.
-    fn pop_where(&mut self, affinity: &[f64], valid: impl Fn(usize) -> bool) -> Option<usize> {
-        while let Some((k, std::cmp::Reverse(t))) = self.heap.pop() {
-            if affinity[t].to_bits() == k && valid(t) {
+    /// exhausted. Popped processes that fail `valid` (selected, or not
+    /// allowed on the site being filled) are dropped until a `raise`
+    /// brings them back; the next site's `rebuild` starts afresh.
+    fn pop_where(&mut self, valid: impl Fn(usize) -> bool) -> Option<usize> {
+        while let Some(mut top) = self.slots.pop() {
+            if let Some(root) = self.slots.first_mut() {
+                std::mem::swap(&mut top, root);
+                self.sift_down(0);
+            }
+            let t = top.1 .0 as usize;
+            self.pos[t] = Self::ABSENT;
+            if valid(t) {
                 return Some(t);
             }
         }
         None
+    }
+
+    fn sift_up(&mut self, mut i: usize, x: Slot) {
+        while i > 0 && x > self.slots[(i - 1) / 2] {
+            self.place(i, self.slots[(i - 1) / 2]);
+            i = (i - 1) / 2;
+        }
+        self.place(i, x);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let x = self.slots[i];
+        loop {
+            // The higher child (a missing one compares lowest).
+            let left = 2 * i + 1;
+            let c = left + usize::from(self.slots.get(left + 1) > self.slots.get(left));
+            match self.slots.get(c) {
+                Some(&y) if y > x => {
+                    self.place(i, y);
+                    i = c;
+                }
+                _ => break,
+            }
+        }
+        self.place(i, x);
+    }
+
+    #[inline]
+    fn place(&mut self, i: usize, x: Slot) {
+        self.slots[i] = x;
+        self.pos[x.1 .0 as usize] = i as u32;
     }
 }
 
@@ -679,6 +738,7 @@ mod tests {
     #[test]
     fn affinity_heap_matches_linear_argmax() {
         use rand::{RngExt, SeedableRng};
+        use std::cell::Cell;
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let n = 60;
         let mut affinity: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..10.0f64)).collect();
@@ -687,29 +747,51 @@ mod tests {
         for i in [3usize, 17, 41] {
             selected[i] = true;
         }
+        // A restricted site's filter also rejects these unselected
+        // processes; the heap drops them when they reach the top.
+        let restricted: Vec<bool> = (0..n).map(|t| t % 3 == 1).collect();
         let mut heap = AffinityHeap::with_capacity(n);
         heap.rebuild(&affinity, &selected);
-        // Interleave pops with random affinity bumps, checking every pop
-        // against the O(N) argmax (first index wins ties).
-        for round in 0..40 {
+        // The O(N) argmax over the processes `valid` admits (first index
+        // wins ties).
+        let argmax = |affinity: &[f64], valid: &dyn Fn(usize) -> bool| {
+            (0..n)
+                .filter(|&t| valid(t))
+                .max_by(|&a, &b| affinity[a].total_cmp(&affinity[b]).then(b.cmp(&a)))
+        };
+        // Interleave pops with random affinity raises, checking every pop
+        // against the argmax: 20 pops under the plain filter, then 12
+        // under the restricted one, then, once every restricted process
+        // has been raised again, the plain filter until exhaustion.
+        let rejected = Cell::new(0);
+        for round in 0.. {
             if round % 3 == 0 {
                 let t = rng.random_range(0..n);
                 if !selected[t] {
                     affinity[t] += rng.random_range(0.0..5.0f64);
-                    heap.push(t, affinity[t]);
+                    heap.raise(t, affinity[t]);
                 }
             }
-            let expect = (0..n)
-                .filter(|&t| !selected[t])
-                .max_by(|&a, &b| affinity[a].total_cmp(&affinity[b]).then(b.cmp(&a)));
-            let got = heap.pop_where(&affinity, |t| !selected[t]);
-            assert_eq!(got, expect, "round {round}");
-            if let Some(t) = got {
-                selected[t] = true;
-            } else {
-                break;
+            if round == 32 {
+                for t in (0..n).filter(|&t| restricted[t] && !selected[t]) {
+                    affinity[t] += rng.random_range(0.5..5.0f64);
+                    heap.raise(t, affinity[t]);
+                }
             }
+            let restrict = (20..32).contains(&round);
+            let valid = |t: usize| !(selected[t] || restrict && restricted[t]);
+            let expect = argmax(&affinity, &valid);
+            let got = heap.pop_where(|t| {
+                let ok = valid(t);
+                rejected.set(rejected.get() + usize::from(!ok && !selected[t]));
+                ok
+            });
+            assert_eq!(got, expect, "round {round}");
+            let Some(t) = got else { break };
+            selected[t] = true;
         }
+        assert!(rejected.get() > 0, "the restricted rounds rejected nothing");
+        assert!(selected.iter().all(|&s| s), "every process was popped");
     }
 
     #[test]
@@ -718,7 +800,7 @@ mod tests {
         let selected = vec![true, true];
         let mut heap = AffinityHeap::with_capacity(2);
         heap.rebuild(&affinity, &selected);
-        assert_eq!(heap.pop_where(&affinity, |t| !selected[t]), None);
+        assert_eq!(heap.pop_where(|t| !selected[t]), None);
     }
 
     #[test]

@@ -531,10 +531,10 @@ fn solve_coarse(problem: &MappingProblem, lvl: &Level, inner: &GeoMapper) -> Opt
             }
         }
         match best {
-            Some((_, i, l)) => {
+            Some((d, i, l)) => {
                 loads[k] -= lvl.weights[i];
                 loads[l] += lvl.weights[i];
-                eval.apply_move(i, SiteId(l));
+                eval.apply_move(i, SiteId(l), d);
             }
             // Wedged: no single move fits anywhere. Rebuild from
             // scratch with weight-aware first-fit.
@@ -643,8 +643,8 @@ fn refine_level(
                     stats.passes += 1;
                     stats.swaps_evaluated += evaluated;
                     match best {
-                        Some((a, b, _)) => {
-                            eval.apply_swap(a, b);
+                        Some((a, b, d)) => {
+                            eval.apply_swap(a, b, d);
                             stats.swaps_accepted += 1;
                             scope.instant("swap");
                             improved = true;
@@ -681,10 +681,10 @@ fn refine_level(
                     best = Some((d, l));
                 }
             }
-            if let Some((_, l)) = best {
+            if let Some((d, l)) = best {
                 loads[si.0] -= weights[i];
                 loads[l] += weights[i];
-                eval.apply_move(i, SiteId(l));
+                eval.apply_move(i, SiteId(l), d);
                 scope.instant("move");
                 improved = true;
             }

@@ -231,7 +231,7 @@ pub fn repair_with_tables(
                 };
                 let obj = d + mig_cost;
                 if obj < bound {
-                    best = Some((Candidate::Move(to, mig), obj));
+                    best = Some((Candidate::Move(to, mig, d), obj));
                 }
             }
             for k in 0..eval.peers(i).len() {
@@ -254,19 +254,19 @@ pub fn repair_with_tables(
                 };
                 let obj = d + mig_cost;
                 if obj < bound {
-                    best = Some((Candidate::Swap(j, mig), obj));
+                    best = Some((Candidate::Swap(j, mig, d), obj));
                 }
             }
             if let Some((op, _)) = best {
                 match op {
-                    Candidate::Move(to, mig) => {
+                    Candidate::Move(to, mig, d) => {
                         counts[si.index()] -= 1;
                         counts[to.index()] += 1;
-                        eval.apply_move(i, to);
+                        eval.apply_move(i, to, d);
                         ledger.apply(mig);
                     }
-                    Candidate::Swap(j, mig) => {
-                        eval.apply_swap(i, j);
+                    Candidate::Swap(j, mig, d) => {
+                        eval.apply_swap(i, j, d);
                         ledger.apply(mig);
                     }
                 }
@@ -312,10 +312,10 @@ pub fn repair_with_tables(
 }
 
 /// One candidate operation rooted at a rank, with its migration-count
-/// change.
+/// change and its Eq. 3 delta (which the apply takes).
 enum Candidate {
-    Move(SiteId, isize),
-    Swap(usize, isize),
+    Move(SiteId, isize, f64),
+    Swap(usize, isize, f64),
 }
 
 /// The cold-resolve oracle: the identical search with no migration

@@ -6,7 +6,7 @@
 //! 1. **Delta equivalence** — `swap_delta`/`move_delta` match a full
 //!    Eq. 3 recompute within `1e-9` relative, over randomized `CG`/`AG`
 //!    patterns, randomized `LT`/`BT` matrices, random constraint
-//!    vectors, and long randomized apply/revert sequences (proptest).
+//!    vectors, and long randomized apply sequences (proptest).
 //!    The site-table screen in front of the engine is sound: it drops
 //!    a candidate only when its exact delta is at or above the limit,
 //!    and passes every other one through bitwise unchanged. So is the
@@ -129,6 +129,21 @@ fn random_assignment(problem: &MappingProblem, rng: &mut StdRng) -> Vec<geonet::
     sites.into_iter().map(|s| s.unwrap()).collect()
 }
 
+/// Apply a random swap (two times in three) or move (capacity ignored)
+/// with the engine's own delta.
+fn apply_random(inc: &mut CostEvaluator<'_>, rng: &mut StdRng, n: usize, m: usize) {
+    if rng.random_range(0..3u32) < 2 {
+        let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+        let d = inc.swap_delta(a, b);
+        inc.apply_swap(a, b, d);
+    } else {
+        let i = rng.random_range(0..n);
+        let to = geonet::SiteId(rng.random_range(0..m));
+        let d = inc.move_delta(i, to);
+        inc.apply_move(i, to, d);
+    }
+}
+
 /// Relative-tolerance check scaled by the instance's total cost.
 fn assert_close(label: &str, got: f64, want: f64, scale: f64) {
     assert!(
@@ -184,11 +199,11 @@ proptest! {
         }
     }
 
-    /// Property 3: long randomized apply/revert sequences keep the
-    /// incremental engine in lockstep with the oracle, and reverting the
-    /// whole sequence restores the initial state bitwise.
+    /// Property 3: long randomized apply sequences, each engine
+    /// applying its own delta, keep the incremental engine in lockstep
+    /// with the oracle and with a fresh recompute.
     #[test]
-    fn prop_apply_revert_sequences_stay_in_lockstep(seed in 0u64..10_000) {
+    fn prop_apply_sequences_stay_in_lockstep(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7E57);
         let n = rng.random_range(6..32usize);
         let m = rng.random_range(2..5usize);
@@ -196,61 +211,42 @@ proptest! {
         let tables = CostTables::build(&problem, CostModel::Full);
         let sites = random_assignment(&problem, &mut rng);
         let mut inc = CostEvaluator::new(&tables, sites.clone());
-        let mut full = FullRecomputeEval::new(&tables, sites.clone());
-        let initial_total = inc.total();
-        let scale = initial_total.abs().max(1.0);
+        let mut full = FullRecomputeEval::new(&tables, sites);
+        let scale = inc.total().abs().max(1.0);
 
-        let mut live_ops = 0usize;
         for _ in 0..120 {
-            match rng.random_range(0..4u32) {
+            if rng.random_range(0..3u32) < 2 {
                 // Swap two random processes.
-                0 | 1 => {
-                    let a = rng.random_range(0..n);
-                    let b = rng.random_range(0..n);
-                    let da = inc.apply_swap(a, b);
-                    let db = full.apply_swap(a, b);
-                    prop_assert!((da - db).abs() <= 1e-9 * scale);
-                    live_ops += 1;
-                }
+                let a = rng.random_range(0..n);
+                let b = rng.random_range(0..n);
+                let (da, db) = (inc.swap_delta(a, b), full.swap_delta(a, b));
+                prop_assert!((da - db).abs() <= 1e-9 * scale);
+                inc.apply_swap(a, b, da);
+                full.apply_swap(a, b, db);
+            } else {
                 // Move a random process (capacity ignored on purpose:
                 // delta math is independent of feasibility).
-                2 => {
-                    let i = rng.random_range(0..n);
-                    let to = geonet::SiteId(rng.random_range(0..m));
-                    let da = inc.apply_move(i, to);
-                    let db = full.apply_move(i, to);
-                    prop_assert!((da - db).abs() <= 1e-9 * scale);
-                    live_ops += 1;
-                }
-                // Revert the most recent op on both engines.
-                _ => {
-                    let ra = inc.revert();
-                    let rb = full.revert();
-                    prop_assert_eq!(ra, rb);
-                    live_ops = live_ops.saturating_sub(1);
-                }
+                let i = rng.random_range(0..n);
+                let to = geonet::SiteId(rng.random_range(0..m));
+                let (da, db) = (inc.move_delta(i, to), full.move_delta(i, to));
+                prop_assert!((da - db).abs() <= 1e-9 * scale);
+                inc.apply_move(i, to, da);
+                full.apply_move(i, to, db);
             }
             prop_assert_eq!(inc.sites(), full.sites());
             prop_assert!((inc.total() - full.total()).abs() <= 1e-9 * scale);
             // The incremental total must also track a fresh recompute.
             prop_assert!((inc.total() - tables.total(inc.sites())).abs() <= 1e-9 * scale);
         }
-        // Unwind everything: exact initial state, bitwise.
-        for _ in 0..live_ops {
-            prop_assert!(inc.revert());
-        }
-        prop_assert!(!inc.revert());
-        prop_assert_eq!(inc.sites(), &sites[..]);
-        prop_assert_eq!(inc.total().to_bits(), initial_total.to_bits());
     }
 
     /// Property 4: the site-table screen is sound. Over random limits
-    /// and apply/revert sequences, `*_if_below` answers `None` only when
-    /// the exact delta is `>= limit`, every `Some` is bitwise the
+    /// and apply sequences, `*_if_below` answers `None` only when the
+    /// exact delta is `>= limit`, every `Some` is bitwise the
     /// unscreened delta, the oracle never screens, and the shifted
-    /// table stays within tolerance of a fresh build after reverts.
+    /// table and the total stay within tolerance of a fresh build.
     #[test]
-    fn prop_screen_is_sound_under_apply_revert(seed in 0u64..10_000) {
+    fn prop_screen_is_sound_under_applies(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5C2E);
         let n = rng.random_range(4..32usize);
         let m = rng.random_range(2..6usize);
@@ -268,8 +264,7 @@ proptest! {
             2 => exact + rng.random_range(-1.0..1.0) * exact.abs(),
             _ => rng.random_range(-1.0..1.0) * scale,
         };
-        let mut live_ops = 0usize;
-        for step in 0..80 {
+        for _ in 0..80 {
             for _ in 0..8 {
                 let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
                 let exact = inc.swap_delta(a, b);
@@ -288,28 +283,9 @@ proptest! {
                 }
                 prop_assert!(full.swap_delta_if_below(a, b, f64::NEG_INFINITY).is_some());
             }
-            match rng.random_range(0..4u32) {
-                0 | 1 => {
-                    inc.apply_swap(rng.random_range(0..n), rng.random_range(0..n));
-                    live_ops += 1;
-                }
-                2 => {
-                    inc.apply_move(rng.random_range(0..n), geonet::SiteId(rng.random_range(0..m)));
-                    live_ops += 1;
-                }
-                _ => {
-                    inc.revert();
-                    live_ops = live_ops.saturating_sub(1);
-                }
-            }
-            // Unwind everything twice along the way and once at the end.
-            if step % 40 == 39 {
-                while live_ops > 0 {
-                    prop_assert!(inc.revert());
-                    live_ops -= 1;
-                }
-            }
+            apply_random(&mut inc, &mut rng, n, m);
             let fresh = CostEvaluator::new(&tables, inc.sites().to_vec());
+            prop_assert!((inc.total() - fresh.total()).abs() <= 1e-9 * scale);
             for i in 0..n {
                 for s in 0..m {
                     let (got, want) = (inc.site_cost(i, geonet::SiteId(s)), fresh.site_cost(i, geonet::SiteId(s)));
@@ -328,7 +304,7 @@ proptest! {
     /// Property 5: the site-bucket bound is sound and the row kernel is
     /// the screened loop, sped up. Over random networks (half of them
     /// with negative cross terms, where the bound must fall back),
-    /// movable sets and apply/revert sequences: whenever
+    /// movable sets and apply sequences: whenever
     /// `bucket_rejects(a, s, scope, t)` holds, every movable `b` on
     /// `s` has an exact `swap_delta(a, b) >= t`, at thresholds right at
     /// and just above each of those deltas; and `first_improving_swap`,
@@ -347,7 +323,6 @@ proptest! {
         let scope = SwapScope::new(n, |i| members[i], &permits);
         let movable = scope.movable();
         let scale = inc.total().abs().max(1.0);
-        let mut live_ops = 0usize;
         for _ in 0..24 {
             for a in 0..n {
                 let sa = inc.sites()[a];
@@ -396,21 +371,7 @@ proptest! {
                     prop_assert_eq!(evaluated, want_evaluated);
                 }
             }
-            match rng.random_range(0..4u32) {
-                0 | 1 => {
-                    inc.apply_swap(rng.random_range(0..n), rng.random_range(0..n));
-                    live_ops += 1;
-                }
-                2 => {
-                    inc.apply_move(rng.random_range(0..n), geonet::SiteId(rng.random_range(0..m)));
-                    live_ops += 1;
-                }
-                _ if live_ops > 0 => {
-                    inc.revert();
-                    live_ops -= 1;
-                }
-                _ => {}
-            }
+            apply_random(&mut inc, &mut rng, n, m);
         }
     }
 }

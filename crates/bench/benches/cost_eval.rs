@@ -1,9 +1,12 @@
 //! Criterion timing of the cost-function kernels: full Eq. 3 evaluation,
 //! incremental swap deltas and the aggregate replays, plus the
 //! delta-engine comparison rows (incremental vs full-recompute) for a
-//! single candidate query and for a whole hill-climb refinement pass.
+//! single candidate query and for a whole hill-climb refinement pass,
+//! and the `pattern_build` group: parsing, profiling and the partner
+//! and table construction every problem pays before its first search.
 
-use commgraph::apps::AppKind;
+use commgraph::apps::{AppKind, ClusteredGraph, Workload};
+use commgraph::CommPattern;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geomap_core::{
     cost, cost::swap_delta, polish, CostTables, Evaluation, Mapping, MappingProblem, Metrics,
@@ -127,11 +130,53 @@ fn bench_metrics_off(c: &mut Criterion) {
     group.finish();
 }
 
+/// Building a problem's inputs: `from_csv` on the daemon's miss path,
+/// `Program::profile` on the generators, and `partners()` plus
+/// `CostTables::build` on every repair and daemon solve. Run alone with
+/// `cargo bench --bench cost_eval -- pattern_build`.
+fn bench_pattern_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pattern_build");
+    let csv = AppKind::KMeans.workload(64).pattern().to_csv();
+    group.bench_function("from_csv/kmeans/64", |b| {
+        b.iter(|| black_box(CommPattern::from_csv(64, &csv).expect("valid CSV")))
+    });
+    for (app, n) in [(AppKind::KMeans, 128usize), (AppKind::Lu, 64)] {
+        let program = app.workload(n).program();
+        group.bench_function(format!("profile/{}/{n}", app.name()), |b| {
+            b.iter(|| black_box(program.profile()))
+        });
+    }
+    let clustered = ClusteredGraph {
+        n: 4096,
+        cluster: 64,
+        degree: 8,
+        locality: 0.8,
+        max_bytes: 1 << 20,
+        seed: 5,
+    };
+    for (name, pattern) in [
+        ("kmeans/128", AppKind::KMeans.workload(128).pattern()),
+        ("clustered/4096", clustered.pattern()),
+    ] {
+        let n = pattern.n();
+        let net = presets::paper_ec2_network(n / 4, InstanceType::M4Xlarge, 1);
+        let p = MappingProblem::unconstrained(pattern, net);
+        group.bench_function(format!("partners/{name}"), |b| {
+            b.iter(|| black_box(p.pattern().partners()))
+        });
+        group.bench_function(format!("tables/{name}"), |b| {
+            b.iter(|| black_box(CostTables::build(&p, geomap_core::CostModel::Full)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cost,
     bench_delta_engines,
     bench_refine_pass,
-    bench_metrics_off
+    bench_metrics_off,
+    bench_pattern_build
 );
 criterion_main!(benches);

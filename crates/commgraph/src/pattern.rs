@@ -10,7 +10,6 @@
 
 use geonet::SquareMatrix;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One directed communication edge: everything process `src` sends to
 /// `dst` over the whole execution.
@@ -51,7 +50,9 @@ pub struct CommPattern {
 #[derive(Debug, Clone)]
 pub struct PatternBuilder {
     n: usize,
-    rows: Vec<BTreeMap<usize, (f64, f64)>>,
+    /// Out-edges per source, kept sorted by destination and updated in
+    /// place.
+    rows: Vec<Vec<Edge>>,
 }
 
 impl PatternBuilder {
@@ -59,7 +60,34 @@ impl PatternBuilder {
     pub fn new(n: usize) -> Self {
         Self {
             n,
-            rows: vec![BTreeMap::new(); n],
+            rows: vec![Vec::new(); n],
+        }
+    }
+
+    /// Add traffic to the edge `src → dst` (in range, not a self-edge).
+    /// A destination past the row's last edge is appended; otherwise a
+    /// binary search finds it, and a repeat adds in recording order
+    /// while a new destination is inserted in place. A new edge holds
+    /// `0.0 + weight`, so a `-0.0` weight is stored as `+0.0`.
+    fn add(&mut self, src: usize, dst: usize, bytes: f64, msgs: f64) {
+        let row = &mut self.rows[src];
+        let at = match row.last() {
+            Some(last) if last.dst >= dst => row.partition_point(|e| e.dst < dst),
+            _ => row.len(),
+        };
+        match row.get_mut(at) {
+            Some(e) if e.dst == dst => {
+                e.bytes += bytes;
+                e.msgs += msgs;
+            }
+            _ => row.insert(
+                at,
+                Edge {
+                    dst,
+                    bytes: 0.0 + bytes,
+                    msgs: 0.0 + msgs,
+                },
+            ),
         }
     }
 
@@ -81,9 +109,7 @@ impl PatternBuilder {
         if src == dst || count == 0 {
             return;
         }
-        let e = self.rows[src].entry(dst).or_insert((0.0, 0.0));
-        e.0 += (bytes * count) as f64;
-        e.1 += count as f64;
+        self.add(src, dst, (bytes * count) as f64, count as f64);
     }
 
     /// Record pre-aggregated traffic from `src` to `dst` — the entry
@@ -105,34 +131,15 @@ impl PatternBuilder {
         if src == dst || (bytes == 0.0 && msgs == 0.0) {
             return;
         }
-        let e = self.rows[src].entry(dst).or_insert((0.0, 0.0));
-        e.0 += bytes;
-        e.1 += msgs;
+        self.add(src, dst, bytes, msgs);
     }
 
-    /// Freeze into an immutable pattern.
+    /// Freeze into an immutable pattern. Each row is copied into an
+    /// allocation of its exact length: a grown row carries up to half
+    /// its capacity spare, which every cached problem would hold.
     pub fn build(self) -> CommPattern {
-        let mut total_bytes = 0.0;
-        let mut total_msgs = 0.0;
-        let out: Vec<Vec<Edge>> = self
-            .rows
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|(dst, (bytes, msgs))| {
-                        total_bytes += bytes;
-                        total_msgs += msgs;
-                        Edge { dst, bytes, msgs }
-                    })
-                    .collect()
-            })
-            .collect();
-        CommPattern {
-            n: self.n,
-            out,
-            total_bytes,
-            total_msgs,
-        }
+        let rows = self.rows.into_iter().map(|r| r.to_vec()).collect();
+        CommPattern::from_sorted_rows(self.n, rows)
     }
 }
 
@@ -163,7 +170,11 @@ impl CommPattern {
                     "CG and AG disagree about edge ({i},{j}): volume {v}, count {c}"
                 );
                 if c > 0.0 {
-                    b.rows[i].insert(j, (v, c));
+                    b.rows[i].push(Edge {
+                        dst: j,
+                        bytes: v,
+                        msgs: c,
+                    });
                 }
             }
         }
@@ -172,9 +183,8 @@ impl CommPattern {
 
     /// Build a pattern directly from per-source out-edge lists, each
     /// sorted by destination with at most one entry per destination —
-    /// the graph-contraction fast path. Coarsening produces rows in
-    /// exactly this shape, and the [`PatternBuilder`]'s per-edge
-    /// BTreeMap accumulation is measurably slower at millions of edges.
+    /// the graph-contraction path. Coarsening sorts and merges its edges
+    /// itself, so the rows are only checked and moved in, not re-sorted.
     ///
     /// # Panics
     /// Panics if a row is unsorted or repeats a destination, an edge is
@@ -182,8 +192,6 @@ impl CommPattern {
     /// or entirely zero.
     pub fn from_edge_lists(rows: Vec<Vec<Edge>>) -> Self {
         let n = rows.len();
-        let mut total_bytes = 0.0;
-        let mut total_msgs = 0.0;
         for (src, row) in rows.iter().enumerate() {
             let mut prev: Option<usize> = None;
             for e in row {
@@ -208,14 +216,23 @@ impl CommPattern {
                     e.bytes,
                     e.msgs
                 );
-                total_bytes += e.bytes;
-                total_msgs += e.msgs;
                 prev = Some(e.dst);
             }
         }
+        Self::from_sorted_rows(n, rows)
+    }
+
+    /// Wrap rows already sorted by destination, summing the totals in
+    /// row order.
+    fn from_sorted_rows(n: usize, out: Vec<Vec<Edge>>) -> Self {
+        let (mut total_bytes, mut total_msgs) = (0.0, 0.0);
+        for e in out.iter().flatten() {
+            total_bytes += e.bytes;
+            total_msgs += e.msgs;
+        }
         CommPattern {
             n,
-            out: rows,
+            out,
             total_bytes,
             total_msgs,
         }
@@ -271,61 +288,86 @@ impl CommPattern {
     /// plus all bytes it receives (Algorithm 1's selection key).
     pub fn comm_quantity(&self, i: usize) -> f64 {
         let sent: f64 = self.out[i].iter().map(|e| e.bytes).sum();
-        let recv: f64 = self
-            .out
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, row)| {
-                row.binary_search_by_key(&i, |e| e.dst)
-                    .ok()
-                    .map_or(0.0, |k| row[k].bytes)
-            })
+        let recv: f64 = (0..self.n)
+            .filter(|&j| j != i)
+            .map(|j| self.bytes(j, i))
             .sum();
         sent + recv
     }
 
     /// Undirected partner lists: for each `i`, the peers it exchanges any
-    /// traffic with, with summed bidirectional volume/count. Computed in
-    /// one O(E) pass; the mappers call this once and reuse it.
+    /// traffic with, sorted by peer, with summed bidirectional
+    /// volume/count. The mappers call this once and reuse it.
+    ///
+    /// `O(E)`: a counting sort lays the in-edges out as a CSR whose rows
+    /// are sorted by source, and each out-row is merged with its in-row.
+    /// Each sum is `0.0 + out + in` (a missing direction adds `0.0`), so
+    /// it has the same bits whichever endpoint computes it. Every row is
+    /// allocated at its exact length.
     pub fn partners(&self) -> Vec<Vec<Partner>> {
-        let mut acc: Vec<BTreeMap<usize, (f64, f64)>> = vec![BTreeMap::new(); self.n];
+        // The zero-weight stand-in for a missing edge in the merge.
+        const NO_EDGE: Edge = Edge {
+            dst: usize::MAX,
+            bytes: 0.0,
+            msgs: 0.0,
+        };
+        let n = self.n;
+        let mut start = vec![0usize; n + 1];
+        for e in self.out.iter().flatten() {
+            start[e.dst + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut inc = vec![NO_EDGE; start[n]];
         for (src, row) in self.out.iter().enumerate() {
             for e in row {
-                let a = acc[src].entry(e.dst).or_insert((0.0, 0.0));
-                a.0 += e.bytes;
-                a.1 += e.msgs;
-                let b = acc[e.dst].entry(src).or_insert((0.0, 0.0));
-                b.0 += e.bytes;
-                b.1 += e.msgs;
+                inc[next[e.dst]] = Edge { dst: src, ..*e };
+                next[e.dst] += 1;
             }
         }
-        acc.into_iter()
-            .map(|m| {
-                m.into_iter()
-                    .map(|(peer, (bytes, msgs))| Partner { peer, bytes, msgs })
-                    .collect()
+
+        let dst = |e: Option<&Edge>| e.map_or(usize::MAX, |e| e.dst);
+        let mut merged = Vec::new();
+        (0..n)
+            .map(|i| {
+                let (out, inr) = (&self.out[i], &inc[start[i]..start[i + 1]]);
+                let (mut a, mut b) = (0, 0);
+                merged.clear();
+                while a < out.len() || b < inr.len() {
+                    let peer = dst(out.get(a)).min(dst(inr.get(b)));
+                    let o = out.get(a).filter(|e| e.dst == peer);
+                    let r = inr.get(b).filter(|e| e.dst == peer);
+                    a += usize::from(o.is_some());
+                    b += usize::from(r.is_some());
+                    let (o, r) = (o.unwrap_or(&NO_EDGE), r.unwrap_or(&NO_EDGE));
+                    merged.push(Partner {
+                        peer,
+                        bytes: 0.0 + o.bytes + r.bytes,
+                        msgs: 0.0 + o.msgs + r.msgs,
+                    });
+                }
+                merged.clone()
             })
             .collect()
     }
 
     /// Dense `CG` export (bytes). Intended for small `N` (display, MPIPP).
     pub fn to_dense_cg(&self) -> SquareMatrix {
-        let mut m = SquareMatrix::zeros(self.n);
-        for (src, row) in self.out.iter().enumerate() {
-            for e in row {
-                m.set(src, e.dst, e.bytes);
-            }
-        }
-        m
+        self.to_dense(|e| e.bytes)
     }
 
     /// Dense `AG` export (counts).
     pub fn to_dense_ag(&self) -> SquareMatrix {
+        self.to_dense(|e| e.msgs)
+    }
+
+    fn to_dense(&self, weight: impl Fn(&Edge) -> f64) -> SquareMatrix {
         let mut m = SquareMatrix::zeros(self.n);
         for (src, row) in self.out.iter().enumerate() {
             for e in row {
-                m.set(src, e.dst, e.msgs);
+                m.set(src, e.dst, weight(e));
             }
         }
         m
@@ -399,36 +441,52 @@ impl CommPattern {
     /// Repeated `src,dst` rows accumulate. Ranks are whole numbers below
     /// `n`; traffic is finite, with `bytes ≥ 0` and `msgs > 0`.
     pub fn from_csv(n: usize, csv: &str) -> Result<CommPattern, String> {
-        let mut lines = csv.lines().enumerate();
-        let (_, header) = lines.next().ok_or("empty input")?;
+        let header = csv.lines().next().ok_or("empty input")?;
+        let mut at = csv.find('\n').map_or(csv.len(), |k| k + 1);
         if header.trim() != "src,dst,bytes,msgs" {
             return Err(format!(
                 "bad header {header:?}, expected \"src,dst,bytes,msgs\""
             ));
         }
         let mut b = PatternBuilder::new(n);
-        for (lineno, line) in lines {
-            if line.trim().is_empty() {
-                continue;
+        for lineno in 1.. {
+            if at >= csv.len() {
+                break;
             }
-            let mut fields = line.splitn(5, ',');
-            let (Some(f0), Some(f1), Some(f2), Some(f3), None) = (
-                fields.next(),
-                fields.next(),
-                fields.next(),
-                fields.next(),
-                fields.next(),
-            ) else {
-                return Err(format!(
-                    "line {}: expected 4 fields, got {}",
-                    lineno + 1,
-                    line.split(',').count()
-                ));
+            let fields = match digit_line(csv.as_bytes(), at) {
+                Some((fields, next)) => {
+                    at = next;
+                    fields
+                }
+                None => {
+                    let line = csv[at..].lines().next().unwrap_or_default();
+                    at = csv[at..].find('\n').map_or(csv.len(), |k| at + k + 1);
+                    if line.trim().is_empty() {
+                        continue;
+                    }
+                    let mut fields = line.splitn(5, ',');
+                    let (Some(f0), Some(f1), Some(f2), Some(f3), None) = (
+                        fields.next(),
+                        fields.next(),
+                        fields.next(),
+                        fields.next(),
+                        fields.next(),
+                    ) else {
+                        return Err(format!(
+                            "line {}: expected 4 fields, got {}",
+                            lineno + 1,
+                            line.split(',').count()
+                        ));
+                    };
+                    (
+                        csv_field(f0, "src", lineno)?,
+                        csv_field(f1, "dst", lineno)?,
+                        csv_field(f2, "bytes", lineno)?,
+                        csv_field(f3, "msgs", lineno)?,
+                    )
+                }
             };
-            let src: usize = csv_field(f0, "src", lineno)?;
-            let dst: usize = csv_field(f1, "dst", lineno)?;
-            let bytes: f64 = csv_field(f2, "bytes", lineno)?;
-            let msgs: f64 = csv_field(f3, "msgs", lineno)?;
+            let (src, dst, bytes, msgs) = fields;
             if src >= n || dst >= n {
                 return Err(format!("line {}: rank out of range for n={n}", lineno + 1));
             }
@@ -438,12 +496,8 @@ impl CommPattern {
             if bytes < 0.0 || msgs <= 0.0 {
                 return Err(format!("line {}: non-positive traffic", lineno + 1));
             }
-            // Preserve fractional aggregates by scaling into the builder.
-            let row = b.rows.get_mut(src).expect("bounds checked");
             if src != dst {
-                let e = row.entry(dst).or_insert((0.0, 0.0));
-                e.0 += bytes;
-                e.1 += msgs;
+                b.add(src, dst, bytes, msgs);
             }
         }
         Ok(b.build())
@@ -453,26 +507,43 @@ impl CommPattern {
     /// each application 100 times back-to-back").
     pub fn scaled(&self, factor: f64) -> CommPattern {
         assert!(factor > 0.0, "scale factor must be positive");
-        let out: Vec<Vec<Edge>> = self
-            .out
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|e| Edge {
-                        dst: e.dst,
-                        bytes: e.bytes * factor,
-                        msgs: e.msgs * factor,
-                    })
-                    .collect()
-            })
-            .collect();
-        CommPattern {
-            n: self.n,
-            out,
-            total_bytes: self.total_bytes * factor,
-            total_msgs: self.total_msgs * factor,
+        let mut p = self.clone();
+        for e in p.out.iter_mut().flatten() {
+            e.bytes *= factor;
+            e.msgs *= factor;
         }
+        p.total_bytes *= factor;
+        p.total_msgs *= factor;
+        p
     }
+}
+
+/// The common line shape in one byte scan: four fields of 1–15 ASCII
+/// digits, comma-separated, ended by `\n`, `\r\n` or the input's end.
+/// Fifteen digits stay below 2⁵³, so the `u64` converts to the same
+/// exact `f64` that `str::parse` returns. Returns the fields and the
+/// offset past the line, or `None` for any other line.
+fn digit_line(csv: &[u8], mut at: usize) -> Option<((usize, usize, f64, f64), usize)> {
+    let mut v = [0u64; 4];
+    for (k, field) in v.iter_mut().enumerate() {
+        let begin = at;
+        while let Some(d) = csv.get(at).filter(|c| c.is_ascii_digit()) {
+            *field = *field * 10 + u64::from(d - b'0');
+            at += 1;
+        }
+        if at == begin || at - begin > 15 {
+            return None;
+        }
+        at += match (k, &csv[at..]) {
+            (0..=2, [b',', ..]) => 1,
+            (3, []) => 0,
+            (3, [b'\n', ..]) => 1,
+            (3, [b'\r', b'\n', ..]) => 2,
+            _ => return None,
+        };
+    }
+    let rank = |x: u64| usize::try_from(x).ok();
+    Some(((rank(v[0])?, rank(v[1])?, v[2] as f64, v[3] as f64), at))
 }
 
 /// One trimmed CSV field of (0-based) line `lineno`, parsed as `T`.
@@ -488,6 +559,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn small() -> CommPattern {
         let mut b = PatternBuilder::new(4);
@@ -729,5 +802,256 @@ mod tests {
         assert_eq!(p.n(), 3);
         assert_eq!(p.num_edges(), 0);
         assert_eq!(p.diagonal_locality(0), 1.0);
+    }
+
+    /// The `BTreeMap` constructions the builder, the parser and
+    /// [`CommPattern::partners`] replaced: the bitwise reference the
+    /// oracles below hold them to.
+    mod reference {
+        use super::super::*;
+        use std::collections::BTreeMap;
+
+        pub type Rows = Vec<BTreeMap<usize, (f64, f64)>>;
+
+        pub fn add(rows: &mut Rows, src: usize, dst: usize, bytes: f64, msgs: f64) {
+            let e = rows[src].entry(dst).or_insert((0.0, 0.0));
+            e.0 += bytes;
+            e.1 += msgs;
+        }
+
+        pub fn build(n: usize, rows: Rows) -> CommPattern {
+            let mut total_bytes = 0.0;
+            let mut total_msgs = 0.0;
+            let out: Vec<Vec<Edge>> = rows
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|(dst, (bytes, msgs))| {
+                            total_bytes += bytes;
+                            total_msgs += msgs;
+                            Edge { dst, bytes, msgs }
+                        })
+                        .collect()
+                })
+                .collect();
+            CommPattern {
+                n,
+                out,
+                total_bytes,
+                total_msgs,
+            }
+        }
+
+        pub fn from_csv(n: usize, csv: &str) -> Result<CommPattern, String> {
+            let mut lines = csv.lines().enumerate();
+            let (_, header) = lines.next().ok_or("empty input")?;
+            if header.trim() != "src,dst,bytes,msgs" {
+                return Err(format!(
+                    "bad header {header:?}, expected \"src,dst,bytes,msgs\""
+                ));
+            }
+            let mut rows: Rows = vec![BTreeMap::new(); n];
+            for (lineno, line) in lines {
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let mut fields = line.splitn(5, ',');
+                let (Some(f0), Some(f1), Some(f2), Some(f3), None) = (
+                    fields.next(),
+                    fields.next(),
+                    fields.next(),
+                    fields.next(),
+                    fields.next(),
+                ) else {
+                    return Err(format!(
+                        "line {}: expected 4 fields, got {}",
+                        lineno + 1,
+                        line.split(',').count()
+                    ));
+                };
+                let src: usize = csv_field(f0, "src", lineno)?;
+                let dst: usize = csv_field(f1, "dst", lineno)?;
+                let bytes: f64 = csv_field(f2, "bytes", lineno)?;
+                let msgs: f64 = csv_field(f3, "msgs", lineno)?;
+                if src >= n || dst >= n {
+                    return Err(format!("line {}: rank out of range for n={n}", lineno + 1));
+                }
+                if !bytes.is_finite() || !msgs.is_finite() {
+                    return Err(format!("line {}: non-finite traffic", lineno + 1));
+                }
+                if bytes < 0.0 || msgs <= 0.0 {
+                    return Err(format!("line {}: non-positive traffic", lineno + 1));
+                }
+                if src != dst {
+                    add(&mut rows, src, dst, bytes, msgs);
+                }
+            }
+            Ok(build(n, rows))
+        }
+
+        pub fn partners(p: &CommPattern) -> Vec<Vec<Partner>> {
+            let mut acc: Rows = vec![BTreeMap::new(); p.n()];
+            for src in 0..p.n() {
+                for e in p.out_edges(src) {
+                    add(&mut acc, src, e.dst, e.bytes, e.msgs);
+                    add(&mut acc, e.dst, src, e.bytes, e.msgs);
+                }
+            }
+            acc.into_iter()
+                .map(|m| {
+                    m.into_iter()
+                        .map(|(peer, (bytes, msgs))| Partner { peer, bytes, msgs })
+                        .collect()
+                })
+                .collect()
+        }
+    }
+
+    /// One edge as `(src, dst, bytes bits, msgs bits)`.
+    type EdgeBits = (usize, usize, u64, u64);
+
+    /// Every edge and both totals as bits.
+    fn pattern_bits(p: &CommPattern) -> (Vec<EdgeBits>, [u64; 2]) {
+        let edges = (0..p.n())
+            .flat_map(|i| {
+                p.out_edges(i)
+                    .iter()
+                    .map(move |e| (i, e.dst, e.bytes.to_bits(), e.msgs.to_bits()))
+            })
+            .collect();
+        (edges, [p.total_bytes().to_bits(), p.total_msgs().to_bits()])
+    }
+
+    fn partner_bits(rows: &[Vec<Partner>]) -> Vec<Vec<(usize, u64, u64)>> {
+        rows.iter()
+            .map(|r| {
+                r.iter()
+                    .map(|p| (p.peer, p.bytes.to_bits(), p.msgs.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One recorded transfer: `src`, `dst`, bytes, messages, and the
+    /// `(bytes per message, count)` of an integral `record_many`.
+    type Record = (usize, usize, f64, f64, Option<(u64, u64)>);
+
+    /// A random record stream over `n` ranks: repeated `(src, dst)`
+    /// rows, one-way edges, self-edges, integral counts, fractional and
+    /// `-0.0` weights, and ranks past `active` left isolated.
+    fn random_records(rng: &mut StdRng) -> (usize, Vec<Record>) {
+        let n = rng.random_range(1..40usize);
+        let active = rng.random_range(1..=n);
+        let mut records: Vec<Record> = Vec::new();
+        for _ in 0..rng.random_range(0..5 * n) {
+            let (src, dst) = match records.last() {
+                Some(&(s, d, ..)) if rng.random_bool(0.3) => (s, d),
+                _ => (rng.random_range(0..active), rng.random_range(0..active)),
+            };
+            let record = match rng.random_range(0..4u8) {
+                0 => {
+                    let (each, count) =
+                        (rng.random_range(0..250_000u64), rng.random_range(1..5u64));
+                    (
+                        src,
+                        dst,
+                        (each * count) as f64,
+                        count as f64,
+                        Some((each, count)),
+                    )
+                }
+                1 => (
+                    src,
+                    dst,
+                    rng.random_range(0.0..1e4),
+                    rng.random_range(0.01..8.0),
+                    None,
+                ),
+                2 => (src, dst, -0.0, rng.random_range(0.5..2.0), None),
+                _ => (src, dst, rng.random_range(0.0..1e-3), 1.0 / 3.0, None),
+            };
+            records.push(record);
+        }
+        (n, records)
+    }
+
+    #[test]
+    fn builder_and_partners_match_the_btreemap_reference_bitwise() {
+        for seed in 0..400 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, records) = random_records(&mut rng);
+            let mut b = PatternBuilder::new(n);
+            let mut rows: reference::Rows = vec![Default::default(); n];
+            for &(src, dst, bytes, msgs, many) in &records {
+                match many {
+                    Some((each, count)) => b.record_many(src, dst, each, count),
+                    None => b.record_weighted(src, dst, bytes, msgs),
+                }
+                if src != dst {
+                    reference::add(&mut rows, src, dst, bytes, msgs);
+                }
+            }
+            let (p, want) = (b.build(), reference::build(n, rows));
+            assert_eq!(pattern_bits(&p), pattern_bits(&want), "seed {seed}");
+            let parts = p.partners();
+            assert_eq!(
+                partner_bits(&parts),
+                partner_bits(&reference::partners(&p)),
+                "seed {seed}"
+            );
+            assert!(p.out.iter().all(|r| r.capacity() == r.len()), "seed {seed}");
+            assert!(parts.iter().all(|r| r.capacity() == r.len()), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn from_csv_matches_the_btreemap_reference_bitwise() {
+        let mut parsed = 0;
+        for seed in 0..400 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, records) = random_records(&mut rng);
+            let mut csv = String::from("src,dst,bytes,msgs\n");
+            if rng.random_bool(0.1) {
+                csv = " src,dst,bytes,msgs \r\n".into();
+            }
+            // Plain digits take the byte scan; padding, signs, exponents,
+            // fractions and 16-digit fields take `str::parse`.
+            let mut field = |v: f64, rank: bool| match rng.random_range(0..10u8) {
+                0 => format!(" {v}\t"),
+                1 if v.is_sign_positive() => format!("+{v}"),
+                2 if !rank => format!("{v:e}"),
+                3 => format!("{v:016}"),
+                _ => format!("{v}"),
+            };
+            for &(src, dst, bytes, msgs, _) in &records {
+                let line = [
+                    field(src as f64, true),
+                    field(dst as f64, true),
+                    field(bytes, false),
+                    field(msgs, false),
+                ]
+                .join(",");
+                csv.push_str(&line);
+                csv.push_str(["\n", "\r\n", "\n \n", "\n\r\n"][seed as usize % 4]);
+            }
+            if seed % 7 == 0 {
+                csv.push_str(
+                    ["1,2,3", "x,1,1,1", "0,1,5,0", "0,1,NaN,1", "0,1,5,1,9"][seed as usize % 5],
+                );
+            } else if seed % 5 == 0 {
+                csv.push_str(&format!("0,{n},1,1\r"));
+            } else if seed % 3 == 0 {
+                csv.pop();
+            }
+            match (CommPattern::from_csv(n, &csv), reference::from_csv(n, &csv)) {
+                (Ok(p), Ok(want)) => {
+                    assert_eq!(pattern_bits(&p), pattern_bits(&want), "seed {seed}");
+                    parsed += 1;
+                }
+                (Err(e), Err(want)) => assert_eq!(e, want, "seed {seed}"),
+                (got, want) => panic!("seed {seed}: {got:?} vs {want:?}"),
+            }
+        }
+        assert!(parsed > 250, "only {parsed} inputs parsed");
     }
 }

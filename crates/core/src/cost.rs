@@ -73,28 +73,12 @@ pub fn cost_with_model(problem: &MappingProblem, mapping: &Mapping, model: CostM
 }
 
 /// Cost contribution of all edges incident to process `i` (both
-/// directions). `O(deg(i))` given the problem's cached partner lists plus
-/// a directed lookup; used by local-search mappers for incremental swap
+/// directions). `O(deg(i))`: the problem's cached partner list is walked
+/// in lockstep with `i`'s sorted out-edges, the in-direction being the
+/// remainder. Used by local-search mappers for incremental swap
 /// evaluation.
 pub fn incident_cost(problem: &MappingProblem, mapping: &Mapping, i: usize) -> f64 {
-    let net = problem.network();
-    let pattern = problem.pattern();
-    let si = mapping.site_of(i);
-    let mut total = 0.0;
-    for p in &problem.partners()[i] {
-        let sp = mapping.site_of(p.peer);
-        let out_b = pattern.bytes(i, p.peer);
-        let out_m = pattern.msgs(i, p.peer);
-        if out_m > 0.0 {
-            total += pair_cost(net, out_m, out_b, si, sp);
-        }
-        let in_b = p.bytes - out_b;
-        let in_m = p.msgs - out_m;
-        if in_m > 0.0 {
-            total += pair_cost(net, in_m, in_b, sp, si);
-        }
-    }
-    total
+    incident_cost_with(problem, i, &|p| mapping.site_of(p))
 }
 
 /// Exact cost change from swapping the sites of processes `a` and `b` in
@@ -130,13 +114,14 @@ fn incident_cost_with(
     site_of: &dyn Fn(usize) -> SiteId,
 ) -> f64 {
     let net = problem.network();
-    let pattern = problem.pattern();
+    let mut out = problem.pattern().out_edges(i).iter().peekable();
     let si = site_of(i);
     let mut total = 0.0;
     for p in &problem.partners()[i] {
         let sp = site_of(p.peer);
-        let out_b = pattern.bytes(i, p.peer);
-        let out_m = pattern.msgs(i, p.peer);
+        let (out_m, out_b) = out
+            .next_if(|e| e.dst == p.peer)
+            .map_or((0.0, 0.0), |e| (e.msgs, e.bytes));
         if out_m > 0.0 {
             total += pair_cost(net, out_m, out_b, si, sp);
         }

@@ -4,9 +4,9 @@
 //! the Geo-distributed hill-climb polish, Monte-Carlo polish) repeatedly
 //! asks the same question: *how much does the Eq. 3 cost change if I
 //! swap processes `a` and `b` (or move `i` to site `s`)?* Answering it
-//! by re-walking the pattern is `O(E)` per candidate; even the seed's
+//! by re-walking the pattern is `O(E)` per candidate; even the
 //! `cost::swap_delta` shortcut re-derives both endpoints' incident costs
-//! from scratch, paying two binary searches per partner edge.
+//! from the pattern on every query.
 //!
 //! [`CostEvaluator`] answers it in `O(deg(a) + deg(b))` flat array
 //! reads: [`CostTables`] stores the pattern as a directed-split CSR and
@@ -277,11 +277,25 @@ impl CostTables {
     /// zero-weight edges — build fine and evaluate to well-defined
     /// (possibly zero) costs.
     pub fn try_build(problem: &MappingProblem, model: CostModel) -> Result<Self, CostTablesError> {
-        let n = problem.num_processes();
-        let m = problem.num_sites();
-        let pattern = problem.pattern();
-        let partners = problem.partners();
+        Self::from_partners(
+            problem.pattern(),
+            problem.partners(),
+            problem.network(),
+            model,
+        )
+    }
 
+    /// The one table walk. Each partner row is walked in lockstep with
+    /// the pattern's sorted out-row: a peer the out-row reaches gives
+    /// the out components, and the in components are `partner − out`.
+    fn from_partners(
+        pattern: &commgraph::CommPattern,
+        partners: &[Vec<commgraph::pattern::Partner>],
+        net: &geonet::SiteNetwork,
+        model: CostModel,
+    ) -> Result<Self, CostTablesError> {
+        let n = pattern.n();
+        let m = net.num_sites();
         let entries: usize = partners.iter().map(Vec::len).sum();
         csr_fits(n, entries)?;
         let mut row_ptr = Vec::with_capacity(n + 1);
@@ -293,9 +307,11 @@ impl CostTables {
         let mut nonneg = true;
         row_ptr.push(0u32);
         for (i, ps) in partners.iter().enumerate() {
+            let mut out = pattern.out_edges(i).iter().peekable();
             for p in ps {
-                let ob = pattern.bytes(i, p.peer);
-                let om = pattern.msgs(i, p.peer);
+                let (om, ob) = out
+                    .next_if(|e| e.dst == p.peer)
+                    .map_or((0.0, 0.0), |e| (e.msgs, e.bytes));
                 let (fom, fob) = model_components(model, om, ob);
                 let (fim, fib) = model_components(model, p.msgs - om, p.bytes - ob);
                 nonneg &= fom >= 0.0 && fob >= 0.0 && fim >= 0.0 && fib >= 0.0;
@@ -317,7 +333,7 @@ impl CostTables {
             row_ptr.push(peer.len() as u32);
         }
 
-        let (lt, inv_bt) = net_matrices(problem.network(), m)?;
+        let (lt, inv_bt) = net_matrices(net, m)?;
         Ok(Self {
             n,
             m,
@@ -350,117 +366,17 @@ impl CostTables {
     }
 
     /// Build tables directly from a pattern/network pair — the
-    /// multilevel refiner's fast path, which visits a freshly contracted
-    /// pattern at every level. Semantically equivalent to wrapping the
-    /// pair in a [`MappingProblem`] and calling
-    /// [`CostTables::try_build`] (up to float rounding in the folded
-    /// components), but the undirected partner rows come from one O(E)
-    /// sorted merge of the out- and in-adjacency instead of the
-    /// problem's BTreeMap partner cache plus per-entry binary searches.
+    /// multilevel refiner's path, which visits a freshly contracted
+    /// pattern at every level. It derives the partner rows with
+    /// [`CommPattern::partners`](commgraph::CommPattern::partners) and
+    /// runs the same walk as [`CostTables::try_build`], so the tables
+    /// are bitwise those of the pair wrapped in a [`MappingProblem`].
     pub fn try_build_from_pattern(
         pattern: &commgraph::CommPattern,
         net: &geonet::SiteNetwork,
         model: CostModel,
     ) -> Result<Self, CostTablesError> {
-        let n = pattern.n();
-        let m = net.num_sites();
-
-        // In-adjacency, with each row sorted by source because sources
-        // are visited in order.
-        let mut in_rows: Vec<Vec<commgraph::pattern::Edge>> = vec![Vec::new(); n];
-        for src in 0..n {
-            for e in pattern.out_edges(src) {
-                in_rows[e.dst].push(commgraph::pattern::Edge {
-                    dst: src,
-                    bytes: e.bytes,
-                    msgs: e.msgs,
-                });
-            }
-        }
-        let entries: usize = (0..n)
-            .map(|i| {
-                let (out, inr) = (pattern.out_edges(i), &in_rows[i]);
-                let (mut a, mut b, mut len) = (0usize, 0usize, 0usize);
-                while a < out.len() || b < inr.len() {
-                    if b >= inr.len() || (a < out.len() && out[a].dst <= inr[b].dst) {
-                        if b < inr.len() && out[a].dst == inr[b].dst {
-                            b += 1;
-                        }
-                        a += 1;
-                    } else {
-                        b += 1;
-                    }
-                    len += 1;
-                }
-                len
-            })
-            .sum();
-        csr_fits(n, entries)?;
-
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut peer = Vec::with_capacity(entries);
-        let mut out_m = Vec::with_capacity(entries);
-        let mut out_b = Vec::with_capacity(entries);
-        let mut in_m = Vec::with_capacity(entries);
-        let mut in_b = Vec::with_capacity(entries);
-        let mut nonneg = true;
-        row_ptr.push(0u32);
-        for (i, inr) in in_rows.iter().enumerate() {
-            let out = pattern.out_edges(i);
-            let (mut a, mut b) = (0usize, 0usize);
-            while a < out.len() || b < inr.len() {
-                // Merge the two sorted runs into one partner entry per
-                // peer: out components from i→peer, in from peer→i.
-                let (p, om, ob, im, ib) =
-                    if b >= inr.len() || (a < out.len() && out[a].dst < inr[b].dst) {
-                        let e = &out[a];
-                        a += 1;
-                        (e.dst, e.msgs, e.bytes, 0.0, 0.0)
-                    } else if a >= out.len() || inr[b].dst < out[a].dst {
-                        let e = &inr[b];
-                        b += 1;
-                        (e.dst, 0.0, 0.0, e.msgs, e.bytes)
-                    } else {
-                        let (eo, ei) = (&out[a], &inr[b]);
-                        a += 1;
-                        b += 1;
-                        (eo.dst, eo.msgs, eo.bytes, ei.msgs, ei.bytes)
-                    };
-                let (fom, fob) = model_components(model, om, ob);
-                let (fim, fib) = model_components(model, im, ib);
-                nonneg &= fom >= 0.0 && fob >= 0.0 && fim >= 0.0 && fib >= 0.0;
-                if !(fom.is_finite() && fob.is_finite() && fim.is_finite() && fib.is_finite()) {
-                    return Err(CostTablesError::NonFiniteEdge {
-                        from: i,
-                        to: p,
-                        detail: format!(
-                            "out msgs {fom}, out bytes {fob}, in msgs {fim}, in bytes {fib}"
-                        ),
-                    });
-                }
-                peer.push(p as u32);
-                out_m.push(fom);
-                out_b.push(fob);
-                in_m.push(fim);
-                in_b.push(fib);
-            }
-            row_ptr.push(peer.len() as u32);
-        }
-
-        let (lt, inv_bt) = net_matrices(net, m)?;
-        Ok(Self {
-            n,
-            m,
-            row_ptr,
-            peer,
-            out_m,
-            out_b,
-            in_m,
-            in_b,
-            lt,
-            inv_bt,
-            nonneg,
-        })
+        Self::from_partners(pattern, &pattern.partners(), net, model)
     }
 
     /// Number of processes.
@@ -1914,36 +1830,119 @@ mod tests {
         assert!(t.total(&sites).is_finite());
     }
 
+    /// Every CSR array and the sign flag, as bits.
+    type TableBits = (Vec<u32>, Vec<u32>, [Vec<u64>; 4], bool);
+
+    fn table_bits(t: &CostTables) -> TableBits {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            t.row_ptr.clone(),
+            t.peer.clone(),
+            [bits(&t.out_m), bits(&t.out_b), bits(&t.in_m), bits(&t.in_b)],
+            t.nonneg,
+        )
+    }
+
+    /// The construction the lockstep walk replaced: two binary searches
+    /// into the out-rows per partner entry.
+    fn binary_search_tables(p: &MappingProblem, model: CostModel) -> TableBits {
+        let (pattern, mut row_ptr, mut peer) = (p.pattern(), vec![0u32], Vec::new());
+        let (mut comps, mut nonneg) = (<[Vec<f64>; 4]>::default(), true);
+        for (i, ps) in p.partners().iter().enumerate() {
+            for q in ps {
+                let (ob, om) = (pattern.bytes(i, q.peer), pattern.msgs(i, q.peer));
+                let (fom, fob) = model_components(model, om, ob);
+                let (fim, fib) = model_components(model, q.msgs - om, q.bytes - ob);
+                nonneg &= fom >= 0.0 && fob >= 0.0 && fim >= 0.0 && fib >= 0.0;
+                for (c, x) in comps.iter_mut().zip([fom, fob, fim, fib]) {
+                    c.push(x);
+                }
+                peer.push(q.peer as u32);
+            }
+            row_ptr.push(peer.len() as u32);
+        }
+        (
+            row_ptr,
+            peer,
+            comps.map(|c| c.iter().map(|x| x.to_bits()).collect()),
+            nonneg,
+        )
+    }
+
+    /// A random pattern with repeated rows, one-way edges, fractional
+    /// traffic and isolated ranks (those at or past `active`).
+    fn random_pattern(n: usize, seed: u64) -> commgraph::CommPattern {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let active = rng.random_range(1..=n);
+        let mut b = commgraph::pattern::PatternBuilder::new(n);
+        let mut last = (0, 0);
+        for _ in 0..rng.random_range(0..4 * n) {
+            if !rng.random_bool(0.3) {
+                last = (rng.random_range(0..active), rng.random_range(0..active));
+            }
+            if rng.random_bool(0.5) {
+                b.record_many(
+                    last.0,
+                    last.1,
+                    rng.random_range(0..100_000),
+                    rng.random_range(1..4),
+                );
+            } else {
+                b.record_weighted(
+                    last.0,
+                    last.1,
+                    rng.random_range(0.0..1e3),
+                    rng.random_range(0.1..3.0),
+                );
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn build_matches_the_binary_search_construction_bitwise() {
+        for seed in 0..60 {
+            let net = presets::paper_ec2_network(2, InstanceType::M4Xlarge, seed);
+            let p = MappingProblem::unconstrained(random_pattern(8, seed), net);
+            for model in [
+                CostModel::Full,
+                CostModel::LatencyOnly,
+                CostModel::BandwidthOnly,
+            ] {
+                assert_eq!(
+                    table_bits(&CostTables::build(&p, model)),
+                    binary_search_tables(&p, model),
+                    "seed {seed}, {model:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn build_from_pattern_matches_problem_build() {
-        let p = problem(48, 41);
-        let sites = round_robin(48, p.num_sites());
-        for model in [
-            CostModel::Full,
-            CostModel::LatencyOnly,
-            CostModel::BandwidthOnly,
-        ] {
-            let via_problem = CostTables::build(&p, model);
-            let direct = CostTables::build_from_pattern(p.pattern(), p.network(), model);
-            assert_eq!(direct.num_processes(), via_problem.num_processes());
-            assert_eq!(direct.num_entries(), via_problem.num_entries());
-            let (a, b) = (direct.total(&sites), via_problem.total(&sites));
-            assert!(
-                (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                "{model:?}: direct {a} vs via-problem {b}"
-            );
-            // Same partner structure, so the delta engines agree too.
-            let ed = CostEvaluator::new(&direct, sites.clone());
-            let ep = CostEvaluator::new(&via_problem, sites.clone());
-            for i in 0..48 {
-                let (da, db) = (
-                    ed.swap_delta(i, (i + 7) % 48),
-                    ep.swap_delta(i, (i + 7) % 48),
-                );
-                assert!(
-                    (da - db).abs() <= 1e-9 * db.abs().max(1.0),
-                    "{model:?} swap_delta({i}): {da} vs {db}"
-                );
+        let problems = [problem(48, 41)].into_iter().chain((0..20).map(|seed| {
+            let net = presets::paper_ec2_network(4, InstanceType::M4Xlarge, seed);
+            MappingProblem::unconstrained(random_pattern(16, seed), net)
+        }));
+        for p in problems {
+            for model in [
+                CostModel::Full,
+                CostModel::LatencyOnly,
+                CostModel::BandwidthOnly,
+            ] {
+                let via_problem = CostTables::build(&p, model);
+                let direct = CostTables::build_from_pattern(p.pattern(), p.network(), model);
+                assert_eq!(direct.n, via_problem.n);
+                assert_eq!(direct.m, via_problem.m);
+                assert_eq!(table_bits(&direct), table_bits(&via_problem), "{model:?}");
+                let net_bits = |t: &CostTables| {
+                    t.lt.iter()
+                        .chain(&t.inv_bt)
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(net_bits(&direct), net_bits(&via_problem));
             }
         }
     }

@@ -31,34 +31,7 @@ impl MappingProblem {
     /// capacity is smaller than `N`, or if the constraints alone exceed
     /// some site's capacity (no feasible mapping could exist).
     pub fn new(pattern: CommPattern, network: SiteNetwork, constraints: ConstraintVector) -> Self {
-        let n = pattern.n();
-        assert_eq!(
-            constraints.len(),
-            n,
-            "constraint vector must have one entry per process"
-        );
-        assert!(
-            network.total_nodes() >= n,
-            "{} processes exceed {} total nodes",
-            n,
-            network.total_nodes()
-        );
-        let caps = network.capacities();
-        let mut used = vec![0usize; network.num_sites()];
-        for (i, c) in constraints.iter().enumerate() {
-            if let Some(site) = c {
-                assert!(
-                    site.index() < network.num_sites(),
-                    "process {i} constrained to unknown {site}"
-                );
-                used[site.index()] += 1;
-                assert!(
-                    used[site.index()] <= caps[site.index()],
-                    "constraints alone overflow {site} (capacity {})",
-                    caps[site.index()]
-                );
-            }
-        }
+        check_feasible(&network, &constraints, pattern.n());
         let partners = pattern.partners();
         let m = network.num_sites();
         let mut lat_eq_bytes = 0.0;
@@ -150,9 +123,15 @@ impl MappingProblem {
     }
 
     /// Replace the constraint vector (e.g. for the Fig. 8 constraint-ratio
-    /// sweep), revalidating feasibility.
+    /// sweep), revalidating feasibility as [`MappingProblem::new`] does.
+    /// Constraints do not touch the traffic, so the partner lists are
+    /// reused.
     pub fn with_constraints(&self, constraints: ConstraintVector) -> Self {
-        Self::new(self.pattern.clone(), self.network.clone(), constraints)
+        check_feasible(&self.network, &constraints, self.num_processes());
+        Self {
+            constraints,
+            ..self.clone()
+        }
     }
 
     /// A compact description for logs.
@@ -169,6 +148,39 @@ impl MappingProblem {
     /// All site ids.
     pub fn site_ids(&self) -> impl Iterator<Item = SiteId> {
         (0..self.num_sites()).map(SiteId)
+    }
+}
+
+/// The checks behind [`MappingProblem::new`]'s panics: one constraint
+/// per process, enough nodes for `n` processes, and no site over
+/// capacity from its pins alone.
+fn check_feasible(network: &SiteNetwork, constraints: &ConstraintVector, n: usize) {
+    assert_eq!(
+        constraints.len(),
+        n,
+        "constraint vector must have one entry per process"
+    );
+    assert!(
+        network.total_nodes() >= n,
+        "{} processes exceed {} total nodes",
+        n,
+        network.total_nodes()
+    );
+    let caps = network.capacities();
+    let mut used = vec![0usize; network.num_sites()];
+    for (i, c) in constraints.iter().enumerate() {
+        if let Some(site) = c {
+            assert!(
+                site.index() < network.num_sites(),
+                "process {i} constrained to unknown {site}"
+            );
+            used[site.index()] += 1;
+            assert!(
+                used[site.index()] <= caps[site.index()],
+                "constraints alone overflow {site} (capacity {})",
+                caps[site.index()]
+            );
+        }
     }
 }
 
@@ -214,6 +226,23 @@ mod tests {
         assert_eq!(p.partners().len(), 16);
         // Each ring rank exchanges with 2 peers.
         assert!(p.partners().iter().all(|ps| ps.len() == 2));
+    }
+
+    /// Partner rows are allocated at their exact length (rows sized
+    /// `out + in` cost the daemon measurable resident memory), and
+    /// `with_constraints` carries the same rows over.
+    #[test]
+    fn partner_rows_are_exact_and_reused_by_with_constraints() {
+        let net = presets::paper_ec2_network(16, InstanceType::M4Xlarge, 1);
+        let pat = commgraph::apps::AppKind::KMeans.workload(64).pattern();
+        let p = MappingProblem::unconstrained(pat, net);
+        assert!(p.partners().iter().all(|r| r.capacity() == r.len()));
+        let mut c = ConstraintVector::none(64);
+        c.pin(3, SiteId(1));
+        let pinned = p.with_constraints(c);
+        assert_eq!(pinned.partners(), p.partners());
+        assert_eq!(pinned.constraints().pin_of(3), Some(SiteId(1)));
+        assert!(pinned.partners().iter().all(|r| r.capacity() == r.len()));
     }
 
     #[test]

@@ -233,6 +233,36 @@ mod tests {
         }
     }
 
+    /// Exact trajectory of one default MPIPP solve: K-means N=64 on the
+    /// 4-region EC2 preset with 16 nodes per region. The counters sum
+    /// the four restarts; `passes` counts best-swap scans, including
+    /// each restart's last one, which finds nothing. The mapping is one
+    /// site digit per rank.
+    #[test]
+    fn kmeans_64_trajectory_is_pinned() {
+        use geomap_core::MemorySink;
+        use std::sync::Arc;
+        let net = presets::paper_ec2_network(16, InstanceType::M4Xlarge, 1);
+        let p = MappingProblem::unconstrained(AppKind::KMeans.workload(64).pattern(), net);
+        let sink = Arc::new(MemorySink::new());
+        let m = MpippMapper {
+            metrics: Metrics::new(sink.clone()),
+            ..MpippMapper::default()
+        }
+        .map(&p);
+        let counter = |name: &str| sink.sum("MPIPP", name) as u64;
+        let digits: String = m.as_slice().iter().map(|s| s.index().to_string()).collect();
+        assert_eq!(counter("search.passes"), 88);
+        assert_eq!(counter("search.swaps_evaluated"), 179_575);
+        assert_eq!(counter("search.swaps_accepted"), 84);
+        assert_eq!(counter("search.restarts"), 4);
+        assert_eq!(counter("search.terms"), 1_812_820);
+        assert_eq!(
+            digits,
+            "0000000011111111000000001111111133333333222222223333333322222222"
+        );
+    }
+
     #[test]
     fn more_restarts_never_worse() {
         let p = problem(20);

@@ -153,7 +153,9 @@ fn single_site_lu_64_does_no_pair_work() {
 
 /// The multilevel solver's own refinement work lands under its
 /// `multilevel` scope: K-means N=256 on 4×64 nodes, coarsened to at
-/// most 32 vertices. The inner solver's metrics are off, so no
+/// most 32 vertices. Its refiner runs both the exhaustive best-swap
+/// scan and the partner-edge sweep; every site is full, so the move
+/// pass finds no room. The inner solver's metrics are off, so no
 /// `Geo-distributed` counter appears; the `multilevel` counters are the
 /// uncoarsening refiner's swap work and the α–β terms of its evaluators.
 #[test]
@@ -178,4 +180,33 @@ fn multilevel_refine_counters_are_pinned() {
     assert_eq!(counter("search.restarts"), 0);
     assert_eq!(counter("search.terms"), 339_122);
     assert!(!sink.has("Geo-distributed", "search.terms"));
+}
+/// A multilevel solve whose refiner takes every branch: DNN N=256 on
+/// 4×72 nodes, coarsened to at most 32 vertices. Its weight classes
+/// range from 2 to 256 members, so both the exhaustive best-swap scan
+/// (64 members or fewer) and the partner-edge sweep run, and the spare
+/// room lets the move pass relocate vertices. The cost bits pin the
+/// mapping.
+#[test]
+fn multilevel_refine_with_moves_is_pinned() {
+    let net = presets::paper_ec2_network(72, InstanceType::M4Xlarge, 1);
+    let problem = MappingProblem::unconstrained(AppKind::Dnn.workload(256).pattern(), net);
+    let sink = Arc::new(MemorySink::new());
+    let mapping = MultilevelMapper {
+        config: MultilevelConfig {
+            coarsen_cutoff: 32,
+            ..MultilevelConfig::default()
+        },
+        metrics: Metrics::new(sink.clone()),
+        ..MultilevelMapper::default()
+    }
+    .map(&problem);
+    let counter = |name: &str| sink.sum("multilevel", name) as u64;
+    assert_eq!(counter("levels"), 4);
+    assert_eq!(counter("search.passes"), 26);
+    assert_eq!(counter("search.swaps_evaluated"), 74_617);
+    assert_eq!(counter("search.swaps_accepted"), 20);
+    assert_eq!(counter("search.terms"), 114_112);
+    let cost = geomap_core::cost(&problem, &mapping);
+    assert_eq!(cost.to_bits(), 0x4064_ead7_ec10_7c78);
 }

@@ -208,3 +208,66 @@ proptest! {
         prop_assert_eq!(outcome.new_cost.to_bits(), outcome.old_cost.to_bits());
     }
 }
+
+/// K-means N=128 solved by `GeoMapper` on the 4-region EC2 preset with
+/// 40 nodes per region (spare room, so repairs can move as well as
+/// swap), then region 0's WAN links degrade: latency ×16, bandwidth
+/// ÷16. Returns the drifted problem and the mapping solved before it.
+fn drifted_kmeans_128() -> (MappingProblem, Mapping) {
+    use commgraph::apps::AppKind;
+    use geomap_core::{GeoMapper, Mapper};
+    let net = geonet::presets::paper_ec2_network(40, geonet::InstanceType::M4Xlarge, 1);
+    let pattern = AppKind::KMeans.workload(128).pattern();
+    let solved =
+        GeoMapper::default().map(&MappingProblem::unconstrained(pattern.clone(), net.clone()));
+    let m = net.num_sites();
+    let hit = |k: usize, l: usize| k != l && (k == 0 || l == 0);
+    let lt = SquareMatrix::from_fn(m, |k, l| {
+        let base = net.latency(SiteId(k), SiteId(l));
+        if hit(k, l) {
+            base * 16.0
+        } else {
+            base
+        }
+    });
+    let bt = SquareMatrix::from_fn(m, |k, l| {
+        let base = net.bandwidth(SiteId(k), SiteId(l));
+        if hit(k, l) {
+            base / 16.0
+        } else {
+            base
+        }
+    });
+    let drifted = SiteNetwork::new(net.sites().to_vec(), lt, bt);
+    (MappingProblem::unconstrained(pattern, drifted), solved)
+}
+
+/// Exact trajectories of two repairs of [`drifted_kmeans_128`]: a
+/// priced one (α = 0.1 % of the drifted cost per migration) under a
+/// 10 % budget, and an unbounded α = 0 one.
+#[test]
+fn kmeans_128_repair_trajectories_are_pinned() {
+    let (problem, start) = drifted_kmeans_128();
+    let priced = repair(
+        &problem,
+        &start,
+        &RemapConfig {
+            budget: Some(12),
+            alpha: 1e-3 * cost(&problem, &start),
+            ..RemapConfig::default()
+        },
+    );
+    let free = repair(&problem, &start, &RemapConfig::default());
+    assert_eq!(
+        (priced.ops, priced.passes_run, priced.terms),
+        (10, 3, 61_732)
+    );
+    assert_eq!(priced.moved, [4, 6, 21, 22, 37, 39, 68, 70, 80, 81, 82, 83]);
+    assert_eq!(priced.new_cost.to_bits(), 0x40a2_a3d9_75a9_720a);
+    assert_eq!((free.ops, free.passes_run, free.terms), (29, 4, 163_200));
+    assert_eq!(
+        free.moved,
+        [0, 4, 6, 16, 80, 81, 82, 83, 84, 85, 86, 87, 116, 117, 124, 125]
+    );
+    assert_eq!(free.new_cost.to_bits(), 0x40a2_9bd4_1f92_403c);
+}

@@ -7,8 +7,8 @@
 //! best-of-K mapper.
 
 use crate::random::random_mapping;
-use geomap_core::delta::{polish, CostTables, Evaluation};
-use geomap_core::{cost, CostModel, Mapper, Mapping, MappingProblem, Metrics};
+use geomap_core::delta::{CostTables, Evaluation};
+use geomap_core::{cost, polish, CostModel, Mapper, Mapping, MappingProblem, Metrics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;

@@ -11,13 +11,11 @@
 //! processes.
 
 use crate::random::random_mapping;
-use geomap_core::delta::{best_improving_swap, CostTables, Evaluation, SearchStats};
+use geomap_core::delta::{CostTables, Evaluation};
+use geomap_core::search::{Climb, SearchStats, EXCHANGE_EPS};
 use geomap_core::{cost, Mapper, Mapping, MappingProblem, Metrics, TraceScope};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Best-swap acceptance threshold (strictly improving, FP-noise-proof).
-const SWAP_EPS: f64 = -1e-15;
 
 /// The MPIPP baseline.
 #[derive(Debug, Clone)]
@@ -72,34 +70,16 @@ impl MpippMapper {
         rng: &mut StdRng,
         scope: TraceScope<'_>,
     ) -> (Mapping, f64, SearchStats) {
-        let n = problem.num_processes();
-        let constraints = problem.constraints();
-        let mapping = random_mapping(problem, rng);
-
+        let start = random_mapping(problem, rng).as_slice().to_vec();
         // Constrained processes never move (their site is fixed by C).
-        let movable: Vec<usize> = (0..n)
+        let constraints = problem.constraints();
+        let movable: Vec<usize> = (0..start.len())
             .filter(|&i| constraints.pin_of(i).is_none())
             .collect();
-
-        let mut stats = SearchStats::default();
-        let mut eval = self
-            .evaluation
-            .evaluator(tables, mapping.as_slice().to_vec());
-        for _ in 0..self.max_rounds {
-            scope.span_begin("pass");
-            let (swap, evaluated) = best_improving_swap(eval.as_ref(), &movable, SWAP_EPS);
-            stats.passes += 1;
-            stats.swaps_evaluated += evaluated;
-            let Some((a, b, d)) = swap else {
-                scope.span_end("pass");
-                break;
-            };
-            eval.apply_swap(a, b, d);
-            stats.swaps_accepted += 1;
-            scope.instant("swap");
-            scope.span_end("pass");
-        }
-        stats.terms = eval.terms();
+        let mut eval = self.evaluation.evaluator(tables, start);
+        let mut climb = Climb::new(eval.as_mut(), scope);
+        climb.steepest(&movable, EXCHANGE_EPS, self.max_rounds);
+        let stats = climb.finish();
         let mapping = Mapping::new(eval.sites().to_vec());
         // Guard against drift in the incremental deltas.
         let exact = cost::cost(problem, &mapping);

@@ -10,7 +10,7 @@
 //! loopback federation with per-daemon trace rings, drives a traced
 //! request through the reconciling router (client → router → home
 //! shard → solver), dumps every daemon's ring over the wire
-//! ([`Request::TraceDump`]), aligns the per-daemon clocks via a
+//! ([`Request::TraceDump`](geomap_service::proto::Request::TraceDump)), aligns the per-daemon clocks via a
 //! request/response handshake (each dump reports the daemon's trace
 //! clock; the collector brackets it with its own and uses the
 //! midpoint offset), and merges everything into one Chrome/Perfetto

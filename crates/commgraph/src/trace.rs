@@ -7,7 +7,7 @@
 //! This module reproduces that idea: a flat [`Trace`] of send events and a
 //! [`CompressedTrace`] built by greedy periodic-run detection, with exact
 //! (lossless) round-tripping. Both forms aggregate into a
-//! [`CommPattern`](crate::pattern::CommPattern).
+//! [`CommPattern`].
 
 use crate::pattern::{CommPattern, PatternBuilder};
 use serde::{Deserialize, Serialize};

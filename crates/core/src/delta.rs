@@ -1,92 +1,31 @@
-//! Incremental Δ-cost evaluation for swap-based local search.
+//! Incremental Δ-cost evaluation: the change in Eq. 3 cost if processes
+//! `a` and `b` swap sites, or `i` moves to site `s`.
 //!
-//! Every swap-based mapper in this workspace (MPIPP's best-swap rounds,
-//! the Geo-distributed hill-climb polish, Monte-Carlo polish) repeatedly
-//! asks the same question: *how much does the Eq. 3 cost change if I
-//! swap processes `a` and `b` (or move `i` to site `s`)?* Answering it
-//! by re-walking the pattern is `O(E)` per candidate; even the
-//! `cost::swap_delta` shortcut re-derives both endpoints' incident costs
-//! from the pattern on every query.
+//! [`CostTables`] stores the pattern as a directed-split CSR and the
+//! network as flat row-major `LT`/`1/BT` matrices. [`CostEvaluator`]
+//! caches each process's incident cost over them, so a query reads
+//! `O(deg(a) + deg(b))` entries instead of re-walking the `O(E)`
+//! pattern, and an apply of the delta the caller holds updates the
+//! caches in `O(deg)`.
 //!
-//! [`CostEvaluator`] answers it in `O(deg(a) + deg(b))` flat array
-//! reads: [`CostTables`] stores the pattern as a directed-split CSR and
-//! the network as flat row-major `LT`/`1/BT` matrices, and the evaluator
-//! caches each process's incident cost so a candidate only re-evaluates
-//! the *post-swap* side. An apply takes the delta the caller already
-//! holds and updates the caches in `O(deg)`; searches only ever commit,
-//! so nothing is saved for an undo.
-//!
-//! Most candidates a search evaluates are rejections. A lazily built
-//! per-site table decides most of them in `O(1)`:
+//! A lazily built per-site table decides most rejections in `O(1)`:
 //! [`CostEval::swap_delta_if_below`] and [`CostEval::move_delta_if_below`]
-//! return `None` when the table proves the delta is at or above the
-//! caller's limit, and the exact, unchanged delta otherwise. The
-//! first-improvement sweep goes one step further: its row kernel,
-//! [`CostEval::first_improving_swap`], bounds a whole site's candidates
-//! at once from per-site columns of the same table, so a row pays
-//! `O(1)` per site it can rule out instead of a screen per candidate.
+//! return `None` when it proves the delta is at or above the caller's
+//! limit, and the exact delta otherwise. The row kernel
+//! [`CostEval::first_improving_swap`] bounds a whole site's candidates
+//! at once from per-site columns of the same table.
 //!
-//! The seed's ground truth stays available behind the same trait:
-//! [`FullRecomputeEval`] evaluates every candidate by a full `O(E)`
-//! re-walk. [`Evaluation`] selects between the two at mapper-config
-//! level, and the equivalence harness in `tests/delta_equivalence.rs`
-//! plus the oracle regression tests pin the two implementations to
-//! identical mapper decisions.
+//! [`FullRecomputeEval`] answers every query by a full `O(E)` re-walk
+//! behind the same trait; [`Evaluation`] picks one of the two, and
+//! `tests/delta_equivalence.rs` holds them to identical mapper
+//! decisions. The searches that drive these queries are in
+//! [`crate::search`].
 
 use crate::cost::{model_components, CostModel};
-use crate::mapping::Mapping;
-use crate::metrics::Metrics;
 use crate::problem::MappingProblem;
-use crate::trace::TraceScope;
 use geonet::SiteId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-/// Aggregate statistics of one swap-search run — the per-mapper numbers
-/// the observability layer reports (generalizing [`CostEval::terms`]).
-/// Plain integers, accumulated locally by the search loops and emitted
-/// once per phase, so the hot path carries no sink calls.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Sweeps / exchange rounds run (including the final one that found
-    /// no improvement).
-    pub passes: u64,
-    /// Eligible candidate swaps decided, whether by a bound, the screen
-    /// or the exact Δ.
-    pub swaps_evaluated: u64,
-    /// Swaps actually applied.
-    pub swaps_accepted: u64,
-    /// Random restarts taken (0 for single-start searches).
-    pub restarts: u64,
-    /// α–β terms the evaluator computed ([`CostEval::terms`] at the end
-    /// of the search, including evaluator construction).
-    pub terms: u64,
-}
-
-impl SearchStats {
-    /// Field-wise accumulate `other` into `self` (merging restarts or
-    /// refinement candidates).
-    pub fn absorb(&mut self, other: SearchStats) {
-        self.passes += other.passes;
-        self.swaps_evaluated += other.swaps_evaluated;
-        self.swaps_accepted += other.swaps_accepted;
-        self.restarts += other.restarts;
-        self.terms += other.terms;
-    }
-
-    /// Emit the standard `search.*` counters to `metrics` (no-op when
-    /// the handle is off).
-    pub fn emit(&self, metrics: &Metrics) {
-        if !metrics.enabled() {
-            return;
-        }
-        metrics.counter("search.passes", self.passes);
-        metrics.counter("search.swaps_evaluated", self.swaps_evaluated);
-        metrics.counter("search.swaps_accepted", self.swaps_accepted);
-        metrics.counter("search.restarts", self.restarts);
-        metrics.counter("search.terms", self.terms);
-    }
-}
 
 /// Which Δ-cost implementation a mapper's local search uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1529,184 +1468,13 @@ impl CostEval for FullRecomputeEval<'_> {
     }
 }
 
-/// Below this process count a polish sweep considers every pair; above
-/// it, only communicating pairs (partner edges).
-pub(crate) const FULL_PAIR_LIMIT: usize = 256;
-
-/// First-improvement acceptance threshold shared by the polish sweeps.
-const IMPROVEMENT_EPS: f64 = -1e-12;
-
-/// Relative tie band of [`best_improving_swap`]: deltas within this
-/// fraction of the scan scale count as equal. Far above the ~1e-15
-/// cross-engine rounding noise of a Δ computation, far below any
-/// meaningful cost difference.
-const TIE_BAND_REL: f64 = 1e-12;
-
-/// Best improving swap among `movable` processes, strictly below
-/// `threshold`: the lexicographically first pair whose Δ lies within a
-/// noise band of the minimum Δ. Also returns the number of candidate Δ
-/// evaluations performed (min scan + tie-band re-scan) — the
-/// `swaps_evaluated` feed of [`SearchStats`].
-///
-/// The band makes the selection invariant to which [`CostEval`]
-/// implementation computed the deltas — incremental and full-recompute
-/// evaluation round differently at the last few bits, and on symmetric
-/// patterns (SP/BT stencils) many candidate swaps are exact cost ties,
-/// so a strict argmin would flip between engines on `1e-16`-level noise.
-/// The min scan is batched over first-index rows and fanned out with
-/// rayon when the row count is worth it; the reduction is
-/// schedule-independent, so the result is deterministic either way.
-pub fn best_improving_swap(
-    eval: &dyn CostEval,
-    movable: &[usize],
-    threshold: f64,
-) -> (Option<(usize, usize, f64)>, u64) {
-    let row_best = |ai: usize| -> Option<(usize, usize, f64)> {
-        let a = movable[ai];
-        let mut best: Option<(usize, usize, f64)> = None;
-        for &b in &movable[ai + 1..] {
-            let limit = best.map_or(threshold, |(_, _, bd)| bd);
-            let Some(d) = eval.swap_delta_if_below(a, b, limit) else {
-                continue;
-            };
-            if d < threshold && best.is_none_or(|(_, _, bd)| d < bd) {
-                best = Some((a, b, d));
-            }
-        }
-        best
-    };
-    let per_row: Vec<Option<(usize, usize, f64)>> = if movable.len() >= 64 {
-        use rayon::prelude::*;
-        (0..movable.len()).into_par_iter().map(row_best).collect()
-    } else {
-        (0..movable.len()).map(row_best).collect()
-    };
-    // The min scan evaluates every unordered movable pair exactly once.
-    let len = movable.len() as u64;
-    let mut evaluated = len * len.saturating_sub(1) / 2;
-    let min = per_row
-        .iter()
-        .flatten()
-        .map(|&(_, _, d)| d)
-        .fold(f64::INFINITY, f64::min);
-    if min == f64::INFINITY {
-        return (None, evaluated);
-    }
-    // Second pass: earliest pair inside the tie band. A row whose own
-    // minimum lies above the band cannot contain one; the rest are
-    // re-scanned in order, short-circuiting at the first hit.
-    let band = min + TIE_BAND_REL * eval.total().abs().max(1.0);
-    // Screened out means Δ ≥ limit, hence Δ > band or Δ ≥ threshold.
-    let limit = threshold.min(band.next_up());
-    for (ai, row) in per_row.iter().enumerate() {
-        let Some((_, _, rd)) = row else { continue };
-        if *rd > band {
-            continue;
-        }
-        let a = movable[ai];
-        for &b in &movable[ai + 1..] {
-            evaluated += 1;
-            let Some(d) = eval.swap_delta_if_below(a, b, limit) else {
-                continue;
-            };
-            if d < threshold && d <= band {
-                return (Some((a, b, d)), evaluated);
-            }
-        }
-    }
-    unreachable!("the row containing the minimum is inside the band")
-}
-
-/// First-improvement swap hill-climb over an evaluator: up to `passes`
-/// sweeps; full-pair below [`FULL_PAIR_LIMIT`] processes, partner-edge
-/// above. Each row is one [`CostEval::first_improving_swap`] call (one
-/// more per accepted swap). `movable(i)` gates which processes may move and
-/// `permits(i, s)` whether `i` may sit on site `s` (multi-site
-/// constraints). Returns the [`SearchStats`] of the climb (passes run,
-/// candidates evaluated vs. accepted; `terms` is left for the caller,
-/// who owns the evaluator).
-///
-/// `scope` gets one `pass` span per sweep and one `swap` instant per
-/// accepted swap, timestamped with wall-clock time — the search
-/// trajectory a Perfetto view of the run shows. With
-/// [`TraceScope::off`] every trace call is a `None` check and no clock
-/// is read, so the climb runs the same instructions either way.
-pub fn sweep_hill_climb(
-    eval: &mut dyn CostEval,
-    passes: usize,
-    movable: &dyn Fn(usize) -> bool,
-    permits: &dyn Fn(usize, SiteId) -> bool,
-    scope: TraceScope<'_>,
-) -> SearchStats {
-    let n = eval.sites().len();
-    let swaps = SwapScope::new(n, movable, permits);
-    // A partner-edge row is the higher part of its sorted CSR row,
-    // copied into one reused buffer.
-    let mut partners: Vec<u32> = Vec::new();
-    let mut stats = SearchStats::default();
-    for _ in 0..passes {
-        stats.passes += 1;
-        scope.span_begin("pass");
-        let mut improved = false;
-        for i in swaps.movable().iter() {
-            let mut candidates = if n <= FULL_PAIR_LIMIT {
-                Candidates::Range(i + 1..n)
-            } else {
-                let peers = eval.peers(i);
-                partners.clear();
-                partners.extend_from_slice(&peers[peers.partition_point(|&p| p as usize <= i)..]);
-                Candidates::List(&partners)
-            };
-            // After an accept the row goes on, from its new site, with
-            // the candidates after the one it took.
-            loop {
-                let (hit, evaluated) =
-                    eval.first_improving_swap(i, candidates.clone(), &swaps, IMPROVEMENT_EPS);
-                stats.swaps_evaluated += evaluated;
-                let Some((j, d)) = hit else { break };
-                eval.apply_swap(i, j, d);
-                stats.swaps_accepted += 1;
-                scope.instant("swap");
-                improved = true;
-                candidates = candidates.after(j);
-            }
-        }
-        scope.span_end("pass");
-        if !improved {
-            break;
-        }
-    }
-    stats
-}
-
-/// Polish `mapping` in place with a swap hill-climb over prebuilt
-/// `tables` (the geo mappers build tables once per `map()` and share
-/// them across all candidate orders). `stats.terms` is
-/// [`CostEval::terms`] of the evaluator after the climb (construction
-/// included), so it is exactly the work metric Fig. 4 compares. See
-/// [`sweep_hill_climb`] for `movable`, `permits` and `scope`.
-pub fn polish(
-    tables: &CostTables,
-    evaluation: Evaluation,
-    mapping: &mut Mapping,
-    passes: usize,
-    movable: &dyn Fn(usize) -> bool,
-    permits: &dyn Fn(usize, SiteId) -> bool,
-    scope: TraceScope<'_>,
-) -> SearchStats {
-    let mut eval = evaluation.evaluator(tables, mapping.as_slice().to_vec());
-    let mut stats = sweep_hill_climb(eval.as_mut(), passes, movable, permits, scope);
-    stats.terms = eval.terms();
-    if stats.swaps_accepted > 0 {
-        *mapping = Mapping::new(eval.sites().to_vec());
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{cost, cost_with_model};
+    use crate::mapping::Mapping;
+    use crate::search::{best_improving_swap, polish, Climb, SearchStats};
+    use crate::trace::TraceScope;
     use commgraph::apps::{RandomGraph, Workload};
     use geonet::{presets, InstanceType};
 
@@ -2251,8 +2019,14 @@ mod tests {
             TraceScope::off(),
         );
         let mut replay = CostEvaluator::new(&t, start);
-        let replay_stats =
-            sweep_hill_climb(&mut replay, 50, &|_| true, &|_, _| true, TraceScope::off());
+        let swaps = SwapScope::new(24, |_| true, &|_, _| true);
+        let mut climb = Climb::new(&mut replay, TraceScope::off());
+        for _ in 0..50 {
+            if !climb.first_sweep(&swaps) {
+                break;
+            }
+        }
+        let replay_stats = climb.finish();
         assert_eq!(stats.swaps_accepted, replay_stats.swaps_accepted);
         assert_eq!(stats.swaps_evaluated, replay_stats.swaps_evaluated);
         assert_eq!(stats.terms, replay.terms());
@@ -2264,6 +2038,7 @@ mod tests {
             passes: 1,
             swaps_evaluated: 10,
             swaps_accepted: 2,
+            moves_accepted: 4,
             restarts: 1,
             terms: 100,
         };
@@ -2271,6 +2046,7 @@ mod tests {
             passes: 2,
             swaps_evaluated: 5,
             swaps_accepted: 1,
+            moves_accepted: 0,
             restarts: 0,
             terms: 50,
         };
@@ -2281,6 +2057,7 @@ mod tests {
                 passes: 3,
                 swaps_evaluated: 15,
                 swaps_accepted: 3,
+                moves_accepted: 4,
                 restarts: 1,
                 terms: 150,
             }

@@ -39,14 +39,14 @@
 //! is its own class.
 
 use crate::cost::CostModel;
-use crate::delta::{polish, CostTables, Evaluation, SearchStats};
+use crate::delta::{CostTables, Evaluation};
 use crate::grouping::group_sites;
 use crate::mapping::Mapping;
 use crate::metrics::Metrics;
 use crate::multisite::{repair, AllowedSites};
 use crate::problem::MappingProblem;
 use crate::trace::TraceScope;
-use crate::Mapper;
+use crate::{polish, Mapper, SearchStats};
 use geonet::SiteId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

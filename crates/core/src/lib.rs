@@ -11,11 +11,13 @@
 //! * [`mapping::Mapping`] — the decision vector `P` (process → site) with
 //!   feasibility checking against both constraints (Eq. 5's
 //!   `(P − C) ∘ C = 0`) and capacities (`count(j, P) ≤ I_j`).
-//! * [`cost`] — the α–β cost function of Eq. 3:
+//! * [`cost`](mod@cost) — the α–β cost function of Eq. 3:
 //!   `Σ_{i,j} AG(i,j)·LT(P_i,P_j) + CG(i,j)/BT(P_i,P_j)`.
 //! * [`delta`] — the incremental Δ-cost engine: flat [`delta::CostTables`]
 //!   plus cached evaluators answering swap/move deltas in `O(deg)`, with
 //!   a full-recompute oracle behind the same trait.
+//! * [`search`] — the one local-search driver, [`search::Climb`], that
+//!   every mapper's refinement and the remap repair run on.
 //! * [`grouping`] — the K-means grouping optimization over site
 //!   coordinates that bounds the order search to `O(κ!)`.
 //! * [`geo`] — Algorithm 1: for every order of the groups, greedily seed
@@ -45,13 +47,14 @@ pub mod multisite;
 pub mod pipeline;
 pub mod problem;
 pub mod remap;
+pub mod search;
 pub mod trace;
 
 pub use constraint::ConstraintVector;
 pub use cost::{cost, cost_with_model, model_components, pair_cost, CostModel};
 pub use delta::{
-    best_improving_swap, polish, sweep_hill_climb, Candidates, CostEval, CostEvaluator, CostTables,
-    CostTablesError, Evaluation, FullRecomputeEval, ProcessSet, SearchStats, SwapScope,
+    Candidates, CostEval, CostEvaluator, CostTables, CostTablesError, Evaluation,
+    FullRecomputeEval, ProcessSet, SwapScope,
 };
 pub use geo::{GeoMapper, OrderSearch, Seeding};
 pub use grouping::group_sites;
@@ -63,6 +66,7 @@ pub use multilevel::{Hierarchy, Level, MultilevelConfig, MultilevelMapper};
 pub use multisite::AllowedSites;
 pub use problem::MappingProblem;
 pub use remap::{cold_resolve, repair, repair_with_tables, RemapConfig, RemapOutcome};
+pub use search::{polish, Climb, SearchStats};
 pub use trace::{
     NullTraceSink, RingBufferSink, StreamingSink, Trace, TraceEvent, TraceEventKind, TraceScope,
     TraceSink, TraceTrack, TrackId,

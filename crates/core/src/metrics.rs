@@ -20,7 +20,7 @@
 //!   so a mapper takes one handle for both "how much" and "why".
 //!
 //! The overhead contract: search hot loops never call the sink directly.
-//! Mappers aggregate counters in plain integers ([`crate::delta::SearchStats`])
+//! Mappers aggregate counters in plain integers ([`crate::search::SearchStats`])
 //! and report once per `map()`/phase boundary, so the refinement inner
 //! loop is identical instructions with metrics on or off (guarded by the
 //! `refine_pass` bench group in `geomap-bench`).

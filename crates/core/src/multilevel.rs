@@ -21,10 +21,10 @@
 //!    with a weight-aware first-fit fallback, so the placement is
 //!    feasible against the *real* capacities.
 //! 3. **Uncoarsen** — the mapping projects down one level at a time;
-//!    after every projection the PR 1 Δ-cost engine's rayon best-swap
-//!    scan runs as a capacity-aware refiner: equal-weight swaps (which
-//!    keep per-site rank loads invariant by construction) plus a
-//!    capacity-checked move pass.
+//!    after every projection a [`crate::search::Climb`] refines it,
+//!    capacity-aware: equal-weight swaps (which keep per-site rank
+//!    loads invariant by construction) plus a capacity-checked move
+//!    pass.
 //!
 //! A [`MultilevelConfig::coarsen_cutoff`] at or above the rank count
 //! disables coarsening entirely: the solver then *is* the inner direct
@@ -40,24 +40,14 @@ use rand::{RngExt, SeedableRng};
 
 use crate::constraint::ConstraintVector;
 use crate::cost::{pair_cost, CostModel};
-use crate::delta::{best_improving_swap, sweep_hill_climb, CostTables, Evaluation, SearchStats};
+use crate::delta::{CostTables, Evaluation, ProcessSet, SwapScope};
 use crate::geo::GeoMapper;
 use crate::mapping::Mapping;
 use crate::metrics::Metrics;
 use crate::problem::MappingProblem;
+use crate::search::{Climb, Room, SearchStats, CLIMB_EPS, SWAP_SCAN_LIMIT};
 use crate::trace::TraceScope;
 use crate::Mapper;
-
-/// Accept a candidate only when its Δ clears this margin — mirrors the
-/// Δ-engine's own improvement epsilon so refinement cannot ping-pong on
-/// float noise.
-const IMPROVEMENT_THRESHOLD: f64 = -1e-12;
-
-/// Below this class size the refiner uses the exhaustive rayon
-/// best-swap scan; above it, the partner-edge hill-climb sweep. Kept
-/// small: each accepted swap rescans the whole class, so the
-/// to-convergence loop is O(steps · class²) swap evaluations.
-const SWAP_SCAN_LIMIT: usize = 64;
 
 /// A level whose matching shrinks the graph by less than this factor is
 /// a stall: further levels would be near-copies, so coarsening stops.
@@ -148,7 +138,7 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Coarsen `problem` by randomized heavy-edge matching until the
-    /// cutoff, a matching stall, or [`MAX_LEVELS`] stops it.
+    /// cutoff, a matching stall, or `MAX_LEVELS` stops it.
     pub fn coarsen(problem: &MappingProblem, config: &MultilevelConfig, seed: u64) -> Self {
         let n0 = problem.num_processes();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -575,13 +565,10 @@ fn first_fit(lvl: &Level, caps: &[usize]) -> Option<Vec<SiteId>> {
 }
 
 /// Capacity-aware refinement of one level (or the base problem when
-/// `level` is `None`): equal-weight swap classes keep per-site rank
-/// loads invariant, a capacity-checked move pass relocates whole
-/// vertices when a cheaper site has room. Small classes go through the
-/// exhaustive rayon best-swap scan, large ones through the partner-edge
-/// hill-climb. Returns the swap work of both (each best-swap scan is one
-/// exchange round) and the evaluator's α–β terms; relocations are not
-/// swaps and only show in `terms`.
+/// `level` is `None`): swaps within equal-weight classes keep per-site
+/// loads, then a move pass relocates vertices to sites with room.
+/// Classes of at most [`SWAP_SCAN_LIMIT`] members climb by steepest
+/// descent, larger ones by first improvement.
 fn refine_level(
     problem: &MappingProblem,
     level: Option<&Level>,
@@ -589,119 +576,63 @@ fn refine_level(
     passes: usize,
     scope: TraceScope<'_>,
 ) -> SearchStats {
-    let mut stats = SearchStats::default();
     if passes == 0 {
-        return stats;
+        return SearchStats::default();
     }
     let caps = problem.network().capacities();
-    let m = caps.len();
-    let (tables, weights, pins): (CostTables, Vec<usize>, Vec<Option<SiteId>>) = match level {
+    let (tables, weights, pins) = match level {
         Some(lvl) => (
             CostTables::build_from_pattern(&lvl.pattern, problem.network(), CostModel::Full),
             lvl.weights.clone(),
-            (0..lvl.n()).map(|i| lvl.constraints.pin_of(i)).collect(),
+            &lvl.constraints,
         ),
-        None => {
-            let n = problem.num_processes();
-            let pins = (0..n).map(|i| problem.constraints().pin_of(i)).collect();
-            (
-                CostTables::build(problem, CostModel::Full),
-                vec![1usize; n],
-                pins,
-            )
-        }
+        None => (
+            CostTables::build(problem, CostModel::Full),
+            vec![1; problem.num_processes()],
+            problem.constraints(),
+        ),
     };
     let n = weights.len();
-    let mut eval = Evaluation::Incremental.evaluator(&tables, std::mem::take(sites));
-
+    let free = ProcessSet::from_fn(n, |i| pins.pin_of(i).is_none());
     let mut classes: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..n {
-        if pins[i].is_none() {
-            classes.entry(weights[i]).or_default().push(i);
-        }
+    for i in free.iter() {
+        classes.entry(weights[i]).or_default().push(i);
     }
-    let mut loads = vec![0usize; m];
-    for i in 0..n {
-        loads[eval.sites()[i].0] += weights[i];
-    }
+    let mut eval = Evaluation::Incremental.evaluator(&tables, std::mem::take(sites));
+    let mut room = Room::new(eval.sites(), &weights, &caps);
+    let mut climb = Climb::new(eval.as_mut(), scope);
 
-    let mut prev_total = eval.total();
+    let mut prev_total = climb.total();
     for _ in 0..passes {
         let mut improved = false;
         for (&w, class) in classes.iter().rev() {
             if class.len() < 2 {
                 continue;
             }
-            if class.len() <= SWAP_SCAN_LIMIT {
-                // The rayon best-swap scan, applied to convergence
-                // (bounded so a long improvement chain cannot stall an
-                // uncoarsening pass).
-                let mut steps = class.len() * 2;
-                while steps > 0 {
-                    let (best, evaluated) =
-                        best_improving_swap(eval.as_ref(), class, IMPROVEMENT_THRESHOLD);
-                    stats.passes += 1;
-                    stats.swaps_evaluated += evaluated;
-                    match best {
-                        Some((a, b, d)) => {
-                            eval.apply_swap(a, b, d);
-                            stats.swaps_accepted += 1;
-                            scope.instant("swap");
-                            improved = true;
-                            steps -= 1;
-                        }
-                        None => break,
-                    }
-                }
+            improved |= if class.len() <= SWAP_SCAN_LIMIT {
+                // Applied to convergence, bounded so a long improvement
+                // chain cannot stall an uncoarsening pass.
+                climb.steepest(class, CLIMB_EPS, class.len() * 2)
             } else {
-                let movable = |i: usize| pins[i].is_none() && weights[i] == w;
-                let sweep = sweep_hill_climb(eval.as_mut(), 1, &movable, &|_, _| true, scope);
-                if sweep.swaps_accepted > 0 {
-                    improved = true;
-                }
-                stats.absorb(sweep);
-            }
+                let movable = |i: usize| free.contains(i) && weights[i] == w;
+                climb.first_sweep(&SwapScope::new(n, movable, &|_, _| true))
+            };
         }
         // Move pass: whole-vertex relocation gated on real capacity.
-        for i in 0..n {
-            if pins[i].is_some() {
-                continue;
-            }
-            let si = eval.sites()[i];
-            let mut best: Option<(f64, usize)> = None;
-            for l in 0..m {
-                if l == si.0 || loads[l] + weights[i] > caps[l] {
-                    continue;
-                }
-                let limit = best.map_or(IMPROVEMENT_THRESHOLD, |(bd, _)| bd);
-                let Some(d) = eval.move_delta_if_below(i, SiteId(l), limit) else {
-                    continue;
-                };
-                if d < IMPROVEMENT_THRESHOLD && best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, l));
-                }
-            }
-            if let Some((d, l)) = best {
-                loads[si.0] -= weights[i];
-                loads[l] += weights[i];
-                eval.apply_move(i, SiteId(l), d);
-                scope.instant("move");
-                improved = true;
-            }
-        }
+        improved |= climb.best_sweep(&free, &mut room, false, CLIMB_EPS);
         if !improved {
             break;
         }
         // Diminishing returns: a pass that moved the cost by less than
         // 0.1% will not earn the next one.
-        let now = eval.total();
+        let now = climb.total();
         if prev_total - now < 1e-3 * prev_total.abs() {
             break;
         }
         prev_total = now;
     }
+    let stats = climb.finish();
     *sites = eval.sites().to_vec();
-    stats.terms = eval.terms();
     stats
 }
 
@@ -830,5 +761,207 @@ impl Mapper for MultilevelMapper {
             "multilevel produced an infeasible mapping"
         );
         mapping
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::delta::{Candidates, CostEval};
+    use crate::search::best_improving_swap;
+    use commgraph::apps::{ClusteredGraph, Workload};
+    use geonet::{presets, InstanceType};
+
+    /// One partner-edge (or full-pair) hill-climb pass as it stood before
+    /// the search driver. Returns (passes, evaluated, accepted).
+    fn reference_sweep(eval: &mut dyn CostEval, movable: &dyn Fn(usize) -> bool) -> SearchStats {
+        let n = eval.sites().len();
+        let swaps = SwapScope::new(n, movable, &|_, _| true);
+        let mut stats = SearchStats {
+            passes: 1,
+            ..SearchStats::default()
+        };
+        for i in swaps.movable().iter() {
+            let partners: Vec<u32> = {
+                let peers = eval.peers(i);
+                peers[peers.partition_point(|&p| p as usize <= i)..].to_vec()
+            };
+            let mut candidates = if n <= 256 {
+                Candidates::Range(i + 1..n)
+            } else {
+                Candidates::List(&partners)
+            };
+            loop {
+                let (hit, evaluated) =
+                    eval.first_improving_swap(i, candidates.clone(), &swaps, -1e-12);
+                stats.swaps_evaluated += evaluated;
+                let Some((j, d)) = hit else { break };
+                eval.apply_swap(i, j, d);
+                stats.swaps_accepted += 1;
+                candidates = candidates.after(j);
+            }
+        }
+        stats
+    }
+
+    /// `refine_level` as it stood before the search driver.
+    fn reference_refine_level(
+        problem: &MappingProblem,
+        level: Option<&Level>,
+        sites: &mut Vec<SiteId>,
+        passes: usize,
+    ) -> SearchStats {
+        const EPS: f64 = -1e-12;
+        let mut stats = SearchStats::default();
+        let caps = problem.network().capacities();
+        let m = caps.len();
+        let (tables, weights, pins): (CostTables, Vec<usize>, Vec<Option<SiteId>>) = match level {
+            Some(lvl) => (
+                CostTables::build_from_pattern(&lvl.pattern, problem.network(), CostModel::Full),
+                lvl.weights.clone(),
+                (0..lvl.n()).map(|i| lvl.constraints.pin_of(i)).collect(),
+            ),
+            None => {
+                let n = problem.num_processes();
+                let pins = (0..n).map(|i| problem.constraints().pin_of(i)).collect();
+                (
+                    CostTables::build(problem, CostModel::Full),
+                    vec![1; n],
+                    pins,
+                )
+            }
+        };
+        let n = weights.len();
+        let mut eval = Evaluation::Incremental.evaluator(&tables, std::mem::take(sites));
+        let mut classes: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for i in 0..n {
+            if pins[i].is_none() {
+                classes.entry(weights[i]).or_default().push(i);
+            }
+        }
+        let mut loads = vec![0usize; m];
+        for i in 0..n {
+            loads[eval.sites()[i].0] += weights[i];
+        }
+        let mut prev_total = eval.total();
+        for _ in 0..passes {
+            let mut improved = false;
+            for (&w, class) in classes.iter().rev() {
+                if class.len() < 2 {
+                    continue;
+                }
+                if class.len() <= 64 {
+                    let mut steps = class.len() * 2;
+                    while steps > 0 {
+                        let (best, evaluated) = best_improving_swap(eval.as_ref(), class, EPS);
+                        stats.passes += 1;
+                        stats.swaps_evaluated += evaluated;
+                        let Some((a, b, d)) = best else { break };
+                        eval.apply_swap(a, b, d);
+                        stats.swaps_accepted += 1;
+                        improved = true;
+                        steps -= 1;
+                    }
+                } else {
+                    let movable = |i: usize| pins[i].is_none() && weights[i] == w;
+                    let sweep = reference_sweep(eval.as_mut(), &movable);
+                    improved |= sweep.swaps_accepted > 0;
+                    stats.absorb(sweep);
+                }
+            }
+            for i in 0..n {
+                if pins[i].is_some() {
+                    continue;
+                }
+                let si = eval.sites()[i];
+                let mut best: Option<(f64, usize)> = None;
+                for l in 0..m {
+                    if l == si.0 || loads[l] + weights[i] > caps[l] {
+                        continue;
+                    }
+                    let limit = best.map_or(EPS, |(bd, _)| bd);
+                    let Some(d) = eval.move_delta_if_below(i, SiteId(l), limit) else {
+                        continue;
+                    };
+                    if d < EPS && best.is_none_or(|(bd, _)| d < bd) {
+                        best = Some((d, l));
+                    }
+                }
+                if let Some((d, l)) = best {
+                    loads[si.0] -= weights[i];
+                    loads[l] += weights[i];
+                    eval.apply_move(i, SiteId(l), d);
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+            let now = eval.total();
+            if prev_total - now < 1e-3 * prev_total.abs() {
+                break;
+            }
+            prev_total = now;
+        }
+        *sites = eval.sites().to_vec();
+        stats.terms = eval.terms();
+        stats
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// At every level of a random hierarchy, and on the base
+        /// problem, `refine_level` takes the reference loop's exact
+        /// trajectory: same assignment and counters, terms included.
+        #[test]
+        fn refine_level_matches_the_reference_loop(seed in 0u64..10_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(40..320usize);
+            let pattern = ClusteredGraph {
+                n,
+                cluster: rng.random_range(4..32),
+                degree: rng.random_range(2..8),
+                locality: 0.8,
+                max_bytes: 1 << 20,
+                seed,
+            }
+            .pattern();
+            let nodes = n / 4 + rng.random_range(1..=n / 8 + 1);
+            let net = presets::paper_ec2_network(nodes, InstanceType::M4Xlarge, seed);
+            let ratio = [0.0, 0.2][rng.random_range(0..2usize)];
+            let pins = ConstraintVector::random(n, ratio, &net.capacities(), seed);
+            let problem = MappingProblem::new(pattern, net, pins);
+            let config = MultilevelConfig {
+                coarsen_cutoff: rng.random_range(8..64),
+                ..MultilevelConfig::default()
+            };
+            let hierarchy = Hierarchy::coarsen(&problem, &config, seed);
+            let caps = problem.network().capacities();
+            let passes = rng.random_range(1..4);
+            for k in (0..hierarchy.num_levels()).rev() {
+                let lvl = &hierarchy.levels[k];
+                let Some(start) = first_fit(lvl, &caps) else { continue };
+                let (mut got, mut want) = (start.clone(), start);
+                let stats = refine_level(&problem, Some(lvl), &mut got, passes, TraceScope::off());
+                let expect = reference_refine_level(&problem, Some(lvl), &mut want, passes);
+                proptest::prop_assert_eq!(&got, &want, "level {}", k);
+                proptest::prop_assert_eq!(
+                    (stats.passes, stats.swaps_evaluated, stats.swaps_accepted, stats.terms),
+                    (expect.passes, expect.swaps_evaluated, expect.swaps_accepted, expect.terms)
+                );
+                if k == 0 {
+                    let base = hierarchy.project(0, &got);
+                    let (mut got, mut want) = (base.clone(), base);
+                    let stats = refine_level(&problem, None, &mut got, passes, TraceScope::off());
+                    let expect = reference_refine_level(&problem, None, &mut want, passes);
+                    proptest::prop_assert_eq!(&got, &want, "base level");
+                    proptest::prop_assert_eq!(
+                        (stats.passes, stats.swaps_evaluated, stats.swaps_accepted, stats.terms),
+                        (expect.passes, expect.swaps_evaluated, expect.swaps_accepted, expect.terms)
+                    );
+                }
+            }
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! stale — and re-solving cold throws away the one thing the runtime
 //! already paid for: the current placement. Following the warm-start
 //! local-search line of work (Schulz & Träff's process-mapping
-//! refinement), [`repair`] points the PR 1 Δ-cost engine
-//! ([`crate::delta`]) at the *current* mapping and searches for the
+//! refinement), [`repair`] runs the local-search driver
+//! ([`crate::search`]) from the *current* mapping and searches for the
 //! cheapest repair under a combined objective
 //!
 //! ```text
@@ -37,15 +37,11 @@
 
 use crate::constraint::ConstraintVector;
 use crate::cost::CostModel;
-use crate::delta::{CostEval, CostEvaluator, CostTables};
+use crate::delta::{CostEval, CostEvaluator, CostTables, ProcessSet};
 use crate::mapping::Mapping;
 use crate::problem::MappingProblem;
-use geonet::SiteId;
-
-/// Accept threshold shared with the delta engine's hill climb: a
-/// candidate must beat the current objective by more than this (in the
-/// negative direction) to be applied, so float dust never loops.
-const IMPROVEMENT_EPS: f64 = -1e-9;
+use crate::search::{Climb, MigrationLedger, Room, REPAIR_EPS};
+use crate::trace::TraceScope;
 
 /// Tuning for one [`repair`] call.
 #[derive(Debug, Clone)]
@@ -92,53 +88,6 @@ pub struct RemapOutcome {
     pub passes_run: usize,
     /// α–β terms the Δ-engine evaluated (work metric).
     pub terms: u64,
-}
-
-impl RemapOutcome {
-    /// Number of migrated ranks (`moved.len()`).
-    pub fn migrations(&self) -> usize {
-        self.moved.len()
-    }
-
-    /// The combined objective of the repaired mapping under `alpha`.
-    pub fn objective(&self, alpha: f64) -> f64 {
-        #[allow(clippy::cast_precision_loss)] // rank counts are small
-        let m = self.moved.len() as f64;
-        self.new_cost + alpha * m
-    }
-}
-
-/// Migration bookkeeping against the starting assignment: how many
-/// ranks currently deviate, and how an operation changes that count.
-struct MigrationLedger {
-    origin: Vec<SiteId>,
-    moved: usize,
-}
-
-impl MigrationLedger {
-    fn new(origin: Vec<SiteId>) -> Self {
-        Self { origin, moved: 0 }
-    }
-
-    /// Change in the deviation count if `i` (currently at `from`)
-    /// lands on `to`: `+1` leaving home, `-1` returning home, else 0.
-    fn delta(&self, i: usize, from: SiteId, to: SiteId) -> isize {
-        let home = self.origin[i];
-        isize::from(to != home) - isize::from(from != home)
-    }
-
-    fn apply(&mut self, d: isize) {
-        self.moved = self
-            .moved
-            .checked_add_signed(d)
-            .expect("migration count cannot go negative");
-    }
-
-    /// Whether an operation with deviation change `d` fits `budget`.
-    fn fits(&self, d: isize, budget: Option<usize>) -> bool {
-        let Some(budget) = budget else { return true };
-        self.moved.saturating_add_signed(d) <= budget
-    }
 }
 
 /// Repair `start` against `problem` under `config`: bounded-migration
@@ -191,107 +140,25 @@ pub fn repair_with_tables(
         "starting mapping violates pin constraints — pins never drift"
     );
 
-    let origin = start.as_slice().to_vec();
-    let mut counts = vec![0usize; m];
-    for &s in &origin {
-        counts[s.index()] += 1;
-    }
-
-    let mut eval = CostEvaluator::new(tables, origin.clone());
+    let mut eval = CostEvaluator::new(tables, start.as_slice().to_vec());
     let old_cost = eval.total();
-    let mut ledger = MigrationLedger::new(origin);
-    let mut ops = 0usize;
-    let mut passes_run = 0usize;
-
+    // Best operation rooted at each free rank: a move to any site with
+    // spare capacity, or a swap with a communication partner (the
+    // classic QAP neighborhood, O(deg) candidates).
+    let free = ProcessSet::from_fn(n, |i| constraints.pin_of(i).is_none());
+    let unit = vec![1; n];
+    let mut room = Room::new(start.as_slice(), &unit, capacities);
+    let ledger = MigrationLedger::new(start.as_slice().to_vec(), config.budget, config.alpha);
+    let mut climb = Climb::new(&mut eval, TraceScope::off()).priced(ledger);
     for _ in 0..config.passes {
-        passes_run += 1;
-        let mut improved = false;
-        for i in 0..n {
-            if constraints.pin_of(i).is_some() {
-                continue;
-            }
-            // Best operation rooted at rank i: a move to any site with
-            // spare capacity, or a swap with a communication partner
-            // (the classic QAP neighborhood, O(deg) candidates).
-            let si = eval.sites()[i];
-            let mut best: Option<(Candidate, f64)> = None;
-            for s in 0..m {
-                let to = SiteId(s);
-                if to == si || counts[s] >= capacities[s] {
-                    continue;
-                }
-                let mig = ledger.delta(i, si, to);
-                if !ledger.fits(mig, config.budget) {
-                    continue;
-                }
-                let bound = best.as_ref().map_or(IMPROVEMENT_EPS, |(_, b)| *b);
-                let mig_cost = config.alpha * mig as f64;
-                let Some(d) = eval.move_delta_if_below(i, to, bound - mig_cost) else {
-                    continue;
-                };
-                let obj = d + mig_cost;
-                if obj < bound {
-                    best = Some((Candidate::Move(to, mig, d), obj));
-                }
-            }
-            for k in 0..eval.peers(i).len() {
-                let j = eval.peers(i)[k] as usize;
-                if j == i || constraints.pin_of(j).is_some() {
-                    continue;
-                }
-                let sj = eval.sites()[j];
-                if sj == si {
-                    continue;
-                }
-                let mig = ledger.delta(i, si, sj) + ledger.delta(j, sj, si);
-                if !ledger.fits(mig, config.budget) {
-                    continue;
-                }
-                let bound = best.as_ref().map_or(IMPROVEMENT_EPS, |(_, b)| *b);
-                let mig_cost = config.alpha * mig as f64;
-                let Some(d) = eval.swap_delta_if_below(i, j, bound - mig_cost) else {
-                    continue;
-                };
-                let obj = d + mig_cost;
-                if obj < bound {
-                    best = Some((Candidate::Swap(j, mig, d), obj));
-                }
-            }
-            if let Some((op, _)) = best {
-                match op {
-                    Candidate::Move(to, mig, d) => {
-                        counts[si.index()] -= 1;
-                        counts[to.index()] += 1;
-                        eval.apply_move(i, to, d);
-                        ledger.apply(mig);
-                    }
-                    Candidate::Swap(j, mig, d) => {
-                        eval.apply_swap(i, j, d);
-                        ledger.apply(mig);
-                    }
-                }
-                ops += 1;
-                improved = true;
-            }
-        }
-        if !improved {
+        if !climb.best_sweep(&free, &mut room, true, REPAIR_EPS) {
             break;
         }
     }
+    let stats = climb.finish();
 
     let sites = eval.sites().to_vec();
-    let moved: Vec<usize> = sites
-        .iter()
-        .zip(&ledger.origin)
-        .enumerate()
-        .filter(|(_, (now, home))| now != home)
-        .map(|(i, _)| i)
-        .collect();
-    debug_assert_eq!(
-        moved.len(),
-        ledger.moved,
-        "ledger drifted from the assignment"
-    );
+    let moved: Vec<usize> = (0..n).filter(|&i| sites[i] != start.site_of(i)).collect();
     if let Some(budget) = config.budget {
         debug_assert!(moved.len() <= budget, "budget violated");
     }
@@ -305,17 +172,10 @@ pub fn repair_with_tables(
         old_cost,
         new_cost,
         moved,
-        ops,
-        passes_run,
-        terms: eval.terms(),
+        ops: (stats.swaps_accepted + stats.moves_accepted) as usize,
+        passes_run: stats.passes as usize,
+        terms: stats.terms,
     }
-}
-
-/// One candidate operation rooted at a rank, with its migration-count
-/// change and its Eq. 3 delta (which the apply takes).
-enum Candidate {
-    Move(SiteId, isize, f64),
-    Swap(usize, isize, f64),
 }
 
 /// The cold-resolve oracle: the identical search with no migration
@@ -342,7 +202,7 @@ mod tests {
     use super::*;
     use crate::cost::cost;
     use commgraph::pattern::PatternBuilder;
-    use geonet::{GeoCoord, Site, SiteNetwork, SquareMatrix};
+    use geonet::{GeoCoord, Site, SiteId, SiteNetwork, SquareMatrix};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -426,7 +286,7 @@ mod tests {
                 ..RemapConfig::default()
             },
         );
-        assert!(out.migrations() <= 6);
+        assert!(out.moved.len() <= 6);
         assert!(out.new_cost <= out.old_cost);
         assert!((cost(&p, &out.mapping) - out.new_cost).abs() < 1e-6 * out.old_cost.max(1.0));
         assert!(out.mapping.validate(&p).is_ok());
@@ -445,7 +305,7 @@ mod tests {
             },
         );
         assert_eq!(out.mapping.as_slice(), start.as_slice());
-        assert_eq!(out.migrations(), 0);
+        assert_eq!(out.moved.len(), 0);
         assert_eq!(out.new_cost, out.old_cost);
     }
 
@@ -503,7 +363,7 @@ mod tests {
                 ..RemapConfig::default()
             },
         );
-        assert!(priced.migrations() <= free.migrations());
+        assert!(priced.moved.len() <= free.moved.len());
     }
 
     #[test]
@@ -515,6 +375,148 @@ mod tests {
         let counts = out.mapping.site_counts(caps.len());
         for (j, (&c, &cap)) in counts.iter().zip(&caps).enumerate() {
             assert!(c <= cap, "site {j}: {c} > capacity {cap}");
+        }
+    }
+
+    /// The repair loop as it stood before the search driver: moves to
+    /// sites with spare room and swaps with unpinned partners, best per
+    /// rank, under the migration ledger. Returns the mapping, ops,
+    /// passes run, terms and the final cost.
+    fn reference_repair(
+        tables: &CostTables,
+        constraints: &ConstraintVector,
+        capacities: &[usize],
+        start: &Mapping,
+        config: &RemapConfig,
+    ) -> (Vec<SiteId>, usize, usize, u64, f64) {
+        enum Candidate {
+            Move(SiteId, isize, f64),
+            Swap(usize, isize, f64),
+        }
+        const EPS: f64 = -1e-9;
+        let (n, m) = (tables.num_processes(), tables.num_sites());
+        let origin = start.as_slice().to_vec();
+        let mut counts = vec![0usize; m];
+        for &s in &origin {
+            counts[s.index()] += 1;
+        }
+        let mut eval = CostEvaluator::new(tables, origin.clone());
+        let mig_of = |i: usize, from: SiteId, to: SiteId| -> isize {
+            isize::from(to != origin[i]) - isize::from(from != origin[i])
+        };
+        let fits = |moved: usize, d: isize| {
+            config
+                .budget
+                .is_none_or(|b| moved.saturating_add_signed(d) <= b)
+        };
+        let (mut moved, mut ops, mut passes_run) = (0usize, 0usize, 0usize);
+        for _ in 0..config.passes {
+            passes_run += 1;
+            let mut improved = false;
+            for i in 0..n {
+                if constraints.pin_of(i).is_some() {
+                    continue;
+                }
+                let si = eval.sites()[i];
+                let mut best: Option<(Candidate, f64)> = None;
+                for s in 0..m {
+                    let to = SiteId(s);
+                    if to == si || counts[s] >= capacities[s] {
+                        continue;
+                    }
+                    let mig = mig_of(i, si, to);
+                    if !fits(moved, mig) {
+                        continue;
+                    }
+                    let bound = best.as_ref().map_or(EPS, |(_, b)| *b);
+                    let mig_cost = config.alpha * mig as f64;
+                    let Some(d) = eval.move_delta_if_below(i, to, bound - mig_cost) else {
+                        continue;
+                    };
+                    if d + mig_cost < bound {
+                        best = Some((Candidate::Move(to, mig, d), d + mig_cost));
+                    }
+                }
+                for k in 0..eval.peers(i).len() {
+                    let j = eval.peers(i)[k] as usize;
+                    if j == i || constraints.pin_of(j).is_some() {
+                        continue;
+                    }
+                    let sj = eval.sites()[j];
+                    if sj == si {
+                        continue;
+                    }
+                    let mig = mig_of(i, si, sj) + mig_of(j, sj, si);
+                    if !fits(moved, mig) {
+                        continue;
+                    }
+                    let bound = best.as_ref().map_or(EPS, |(_, b)| *b);
+                    let mig_cost = config.alpha * mig as f64;
+                    let Some(d) = eval.swap_delta_if_below(i, j, bound - mig_cost) else {
+                        continue;
+                    };
+                    if d + mig_cost < bound {
+                        best = Some((Candidate::Swap(j, mig, d), d + mig_cost));
+                    }
+                }
+                let Some((op, _)) = best else { continue };
+                let mig = match op {
+                    Candidate::Move(to, mig, d) => {
+                        counts[si.index()] -= 1;
+                        counts[to.index()] += 1;
+                        eval.apply_move(i, to, d);
+                        mig
+                    }
+                    Candidate::Swap(j, mig, d) => {
+                        eval.apply_swap(i, j, d);
+                        mig
+                    }
+                };
+                moved = moved.checked_add_signed(mig).unwrap();
+                ops += 1;
+                improved = true;
+            }
+            if !improved {
+                break;
+            }
+        }
+        let total = eval.total();
+        (eval.sites().to_vec(), ops, passes_run, eval.terms(), total)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The driver takes the reference loop's exact trajectory:
+        /// same mapping, ops, passes, terms and cost bits, across
+        /// budgets, prices and pins.
+        #[test]
+        fn repair_matches_the_reference_loop(seed in 0u64..10_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(6..64usize);
+            let m = rng.random_range(2..6usize);
+            let p = problem(n, m, seed);
+            let start = drifted(&p, n / 3, seed ^ 0xD1);
+            let mut pins = ConstraintVector::none(n);
+            for i in 0..n {
+                if rng.random_bool(0.15) {
+                    pins.pin(i, start.site_of(i));
+                }
+            }
+            let p = p.with_constraints(pins);
+            let budget = [None, Some(0), Some(n / 10), Some(rng.random_range(0..=n))]
+                [rng.random_range(0..4usize)];
+            let c0 = cost(&p, &start);
+            let alpha = [0.0, 1e-3 * c0, 0.05 * c0][rng.random_range(0..3usize)];
+            let config = RemapConfig { budget, alpha, passes: rng.random_range(1..8), ..RemapConfig::default() };
+            let tables = CostTables::build(&p, config.model);
+            let caps = p.capacities();
+            let out = repair_with_tables(&tables, p.constraints(), &caps, &start, &config);
+            let (sites, ops, passes, terms, total) =
+                reference_repair(&tables, p.constraints(), &caps, &start, &config);
+            proptest::prop_assert_eq!(out.mapping.as_slice(), &sites[..]);
+            proptest::prop_assert_eq!((out.ops, out.passes_run, out.terms), (ops, passes, terms));
+            proptest::prop_assert_eq!(out.new_cost.to_bits(), total.to_bits());
         }
     }
 }

@@ -27,7 +27,7 @@ use geomap_core::delta::{
     Candidates, CostEval, CostEvaluator, CostTables, Evaluation, FullRecomputeEval, SwapScope,
 };
 use geomap_core::{
-    cost_with_model, ConstraintVector, CostModel, GeoMapper, Mapper, Mapping, MappingProblem,
+    cost_with_model, Climb, ConstraintVector, CostModel, GeoMapper, Mapper, Mapping, MappingProblem,
 };
 use geonet::{presets, GeoCoord, InstanceType, Site, SiteNetwork, SquareMatrix};
 use proptest::prelude::*;
@@ -506,13 +506,8 @@ fn incremental_engine_saves_10x_terms_at_n1024() {
     let counted_pass = |evaluation: Evaluation| -> (u64, Vec<geonet::SiteId>) {
         let mut eval = evaluation.evaluator(&tables, sites.clone());
         let before = eval.terms();
-        geomap_core::sweep_hill_climb(
-            eval.as_mut(),
-            1,
-            &|_| true,
-            &|_, _| true,
-            geomap_core::TraceScope::off(),
-        );
+        let swaps = SwapScope::new(sites.len(), |_| true, &|_, _| true);
+        Climb::new(eval.as_mut(), geomap_core::TraceScope::off()).first_sweep(&swaps);
         (eval.terms() - before, eval.sites().to_vec())
     };
 

@@ -181,6 +181,7 @@ fn multilevel_refine_counters_are_pinned() {
     assert_eq!(counter("search.terms"), 339_122);
     assert!(!sink.has("Geo-distributed", "search.terms"));
 }
+
 /// A multilevel solve whose refiner takes every branch: DNN N=256 on
 /// 4×72 nodes, coarsened to at most 32 vertices. Its weight classes
 /// range from 2 to 256 members, so both the exhaustive best-swap scan

@@ -554,7 +554,7 @@ wire_struct! {
         /// clock).
         pub now_s: f64 = 0.0,
         /// Events discarded because the ring was full, or cut so the dump
-        /// fits one frame ([`TraceDumpResponse::fit_frame`]).
+        /// fits one frame (`TraceDumpResponse::fit_frame`).
         pub dropped: u64 = 0,
         /// Track definitions referenced by `events`.
         pub tracks: Vec<WireTrack>,

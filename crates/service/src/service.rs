@@ -21,7 +21,8 @@
 //!    constraints)` → the calibrated estimate and assembled
 //!    [`MappingProblem`] (with its cached partner lists) are reused, so
 //!    only the solve runs — repeated topologies skip the probing
-//!    campaign and everything `CostTables::build` needs rebuilt,
+//!    campaign and problem assembly, though each solve and remap still
+//!    builds its own `CostTables`,
 //! 4. full miss: calibrate, assemble, solve, populate both tiers,
 //! 5. optionally reserve the placement in the [`ClusterInventory`].
 
